@@ -3,6 +3,14 @@
 Only the operations the routing/loss graph actually needs are provided.
 Gradients are checked against `numerics.finite_difference_gradient` in the
 test suite; the tape is confined to one training step on one thread.
+
+Only tensors on the tape (parameters and op results with a tape parent)
+carry a `grad` buffer; constants carry `grad = None`, and a backward pass
+writes no term for them. A forward over constants alone therefore keeps
+no closures and no gradient buffers. Each backward closure receives its
+output's gradient as an argument instead of holding the output tensor, so
+the tape has no reference cycles and is freed as soon as the loss is
+dropped, without waiting for the cyclic garbage collector.
 """
 from __future__ import annotations
 
@@ -13,13 +21,14 @@ from .numerics import PROB_EPS, sigmoid
 
 
 class Tensor:
-    """A value on the tape. `grad` is zero until `backward()` runs."""
+    """A value on the tape. `grad` is zero until `backward()` runs, and
+    None for a tensor that can never receive a gradient."""
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if requires_grad or parents else None
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
@@ -35,21 +44,23 @@ class Tensor:
         if self.value.size != 1:
             raise InvalidInputError("backward() requires a scalar output")
         order = []
-        seen = set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            order.append(node)
-
-        visit(self)
+        _topological(self, set(), order)
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+
+
+def _topological(node, seen, order):
+    """Append `node` after everything it depends on. A module-level
+    function, because a nested one that calls itself is a reference cycle
+    that would keep the whole tape alive until the garbage collector runs."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for p in node._parents:
+        _topological(p, seen, order)
+    order.append(node)
 
 
 def constant(x) -> Tensor:
@@ -65,7 +76,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _needs(*tensors):
-    return any(t.requires_grad or t._parents for t in tensors)
+    return any(t.grad is not None for t in tensors)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -82,15 +93,18 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.value + b.value)
 
-    def backward():
-        a.grad += _unbroadcast(out.grad, a.value.shape)
-        b.grad += _unbroadcast(out.grad, b.value.shape)
+    def backward(g):
+        if a.grad is not None:
+            a.grad += _unbroadcast(g, a.value.shape)
+        if b.grad is not None:
+            b.grad += _unbroadcast(g, b.value.shape)
 
     return _attach(out, (a, b), backward)
 
 
 def _attach(out, parents, backward):
     if _needs(*parents):
+        out.grad = np.zeros_like(out.value)
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -100,9 +114,11 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.value - b.value)
 
-    def backward():
-        a.grad += _unbroadcast(out.grad, a.value.shape)
-        b.grad -= _unbroadcast(out.grad, b.value.shape)
+    def backward(g):
+        if a.grad is not None:
+            a.grad += _unbroadcast(g, a.value.shape)
+        if b.grad is not None:
+            b.grad -= _unbroadcast(g, b.value.shape)
 
     return _attach(out, (a, b), backward)
 
@@ -111,9 +127,11 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.value * b.value)
 
-    def backward():
-        a.grad += _unbroadcast(out.grad * b.value, a.value.shape)
-        b.grad += _unbroadcast(out.grad * a.value, b.value.shape)
+    def backward(g):
+        if a.grad is not None:
+            a.grad += _unbroadcast(g * b.value, a.value.shape)
+        if b.grad is not None:
+            b.grad += _unbroadcast(g * a.value, b.value.shape)
 
     return _attach(out, (a, b), backward)
 
@@ -122,8 +140,8 @@ def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.value * c)
 
-    def backward():
-        a.grad += out.grad * c
+    def backward(g):
+        a.grad += g * c
 
     return _attach(out, (a,), backward)
 
@@ -134,9 +152,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul expects 2-D operands")
     out = Tensor(a.value @ b.value)
 
-    def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+    def backward(g):
+        if a.grad is not None:
+            a.grad += g @ b.value.T
+        if b.grad is not None:
+            b.grad += a.value.T @ g
 
     return _attach(out, (a, b), backward)
 
@@ -146,8 +166,8 @@ def tanh(a) -> Tensor:
     y = np.tanh(a.value)
     out = Tensor(y)
 
-    def backward():
-        a.grad += out.grad * (1.0 - y * y)
+    def backward(g):
+        a.grad += g * (1.0 - y * y)
 
     return _attach(out, (a,), backward)
 
@@ -159,9 +179,9 @@ def softmax_rows(z) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
-    def backward():
-        inner = (out.grad * y).sum(axis=-1, keepdims=True)
-        z.grad += y * (out.grad - inner)
+    def backward(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        z.grad += y * (g - inner)
 
     return _attach(out, (z,), backward)
 
@@ -179,26 +199,32 @@ def masked_softmax_rows(z, mask) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
-    def backward():
-        inner = (out.grad * y).sum(axis=-1, keepdims=True)
-        z.grad += y * (out.grad - inner)  # y is zero off-mask, so grad is too
+    def backward(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        z.grad += y * (g - inner)  # y is zero off-mask, so grad is too
 
     return _attach(out, (z,), backward)
 
 
-def mix(weights, outputs) -> Tensor:
-    """Weighted sum of stacked vectors: (B,E) weights x list of E (B,d)."""
+def mix(weights, outputs, stacked=None) -> Tensor:
+    """Weighted sum of stacked vectors: (B,E) weights x list of E (B,d).
+
+    `stacked` may pass the outputs' values already stacked to (B,E,d), so
+    that a forward mixing the same outputs for every option stacks once.
+    """
     weights = _as_tensor(weights)
     outputs = [_as_tensor(o) for o in outputs]
     if weights.value.shape[-1] != len(outputs):
         raise ShapeError("one weight column per mixed tensor required")
-    stackv = np.stack([o.value for o in outputs], axis=1)  # (B,E,d)
+    stackv = np.stack([o.value for o in outputs], axis=1) if stacked is None else stacked
     out = Tensor(np.einsum("be,bed->bd", weights.value, stackv))
 
-    def backward():
-        weights.grad += np.einsum("bd,bed->be", out.grad, stackv)
+    def backward(g):
+        if weights.grad is not None:
+            weights.grad += np.einsum("bd,bed->be", g, stackv)
         for i, o in enumerate(outputs):
-            o.grad += weights.value[:, i, None] * out.grad
+            if o.grad is not None:
+                o.grad += weights.value[:, i, None] * g
 
     return _attach(out, (weights, *outputs), backward)
 
@@ -213,10 +239,12 @@ def cosine_rows(a, b) -> Tensor:
     c = dots / (na * nb)
     out = Tensor(c)
 
-    def backward():
-        g = out.grad[:, None]
-        a.grad += g * (b.value / (na * nb)[:, None] - c[:, None] * a.value / (na * na)[:, None])
-        b.grad += g * (a.value / (na * nb)[:, None] - c[:, None] * b.value / (nb * nb)[:, None])
+    def backward(g):
+        g = g[:, None]
+        if a.grad is not None:
+            a.grad += g * (b.value / (na * nb)[:, None] - c[:, None] * a.value / (na * na)[:, None])
+        if b.grad is not None:
+            b.grad += g * (a.value / (na * nb)[:, None] - c[:, None] * b.value / (nb * nb)[:, None])
 
     return _attach(out, (a, b), backward)
 
@@ -231,8 +259,8 @@ def bce_logistic(scores, labels, temperature: float) -> Tensor:
     p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
     out = Tensor(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
-    def backward():
-        scores.grad += out.grad * temperature * (p_raw - y)
+    def backward(g):
+        scores.grad += g * temperature * (p_raw - y)
 
     return _attach(out, (scores,), backward)
 
@@ -246,8 +274,8 @@ def kl_rows(p, q) -> Tensor:
     terms = np.where(p > 0.0, p * (np.log(np.maximum(p, PROB_EPS)) - np.log(q.value)), 0.0)
     out = Tensor(terms.sum(axis=-1))
 
-    def backward():
-        q.grad += out.grad[..., None] * (-p / q.value)
+    def backward(g):
+        q.grad += g[..., None] * (-p / q.value)
 
     return _attach(out, (q,), backward)
 
@@ -257,9 +285,10 @@ def stack_cols(cols) -> Tensor:
     cols = [_as_tensor(c) for c in cols]
     out = Tensor(np.stack([c.value for c in cols], axis=1))
 
-    def backward():
+    def backward(g):
         for i, c in enumerate(cols):
-            c.grad += out.grad[:, i]
+            if c.grad is not None:
+                c.grad += g[:, i]
 
     return _attach(out, tuple(cols), backward)
 
@@ -268,8 +297,8 @@ def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.value.sum())
 
-    def backward():
-        a.grad += out.grad  # broadcasts the scalar
+    def backward(g):
+        a.grad += g  # broadcasts the scalar
 
     return _attach(out, (a,), backward)
 
@@ -279,7 +308,7 @@ def mean_all(a) -> Tensor:
     n = a.value.size
     out = Tensor(a.value.mean())
 
-    def backward():
-        a.grad += out.grad / n
+    def backward(g):
+        a.grad += g / n
 
     return _attach(out, (a,), backward)

@@ -119,7 +119,12 @@ def save_dataset(samples, path):
 
 
 def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = False):
-    """Load samples; if a cue table is given, attach and score its cues."""
+    """Load samples; if a cue table is given, attach and score its cues.
+
+    Every sample must have the same option count, and every input and
+    option embedding the same dimension: batched training and evaluation
+    stack them into arrays.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -131,15 +136,23 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
         try:
             rec = json.loads(line)
             input_emb = np.asarray(rec["input_emb"], dtype=np.float64)
+            texts = [np.asarray(text, dtype=np.float64) for text in rec["options"]]
+            if input_emb.ndim != 1 or any(t.shape != input_emb.shape for t in texts):
+                raise DataError("input and option embeddings must be 1-D vectors of equal length")
+            if samples and (len(texts), input_emb.shape) != (len(samples[0].options),
+                                                             samples[0].input_emb.shape):
+                raise DataError(f"{len(texts)} options of dimension {input_emb.size}, "
+                                f"expected {len(samples[0].options)} of dimension "
+                                f"{samples[0].input_emb.size} as in the first sample")
             options = []
-            for oid, text in enumerate(rec["options"]):
+            for oid, text in enumerate(texts):
                 cs = None
                 if cue_table is not None and (rec["sample_id"], oid) in cue_table:
                     cs = score_cue_set(
                         cue_table.get(rec["sample_id"], oid), input_emb,
                         only_variance=only_variance,
                     )
-                options.append((np.asarray(text, dtype=np.float64), cs))
+                options.append((text, cs))
             samples.append(Sample(
                 sample_id=rec["sample_id"],
                 input_emb=input_emb,
@@ -147,7 +160,9 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
                 correct=rec["correct"],
                 category=rec["category"],
             ))
-        except (KeyError, json.JSONDecodeError, TypeError) as exc:
+        # ValueError includes JSON syntax errors, ragged or non-numeric
+        # arrays, and the DataError raised above
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path} line {lineno}: {exc}") from exc
     return samples
 

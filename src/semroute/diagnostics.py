@@ -6,44 +6,47 @@ All outputs are plain CSV; plotting is left to external tools.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidRoutingError
-from .numerics import cosine
+from .errors import DegenerateVectorError, InvalidInputError, InvalidRoutingError
+from .numerics import cosine  # noqa: F401  counted by perfbench/tracing.py
 
 
-@dataclass
-class RoutingDiagnostics:
-    sim: float
-    sharpness: float
-    per_category_variance: dict      # category -> raw variance (also kept x10)
-    selection_frequency: np.ndarray  # (categories, E), rows ordered by category list
-    categories: list
-
-
-def sim_score(expert_outputs, gate, reference_direction) -> float:
+def sim_score(expert_outputs, gate, reference_direction):
     """Cosine between the gate-weighted Top-K representation and the
-    reference semantic direction (the correct answer's cue difference)."""
+    reference semantic direction (the correct answer's cue difference).
+
+    Leading axes are batch axes: K outputs of dimension d (..., K, d) pair
+    with a (..., K) gate and a (..., d) direction, one score per row.
+    """
+    outputs = np.asarray(expert_outputs, dtype=np.float64)
     gate = np.asarray(gate, dtype=np.float64)
-    if gate.size != len(expert_outputs):
+    reference = np.asarray(reference_direction, dtype=np.float64)
+    if outputs.shape[:-1] != gate.shape:
         raise InvalidInputError("gate and expert outputs misaligned")
-    h_topk = sum(w * h for w, h in zip(gate, expert_outputs))
-    return cosine(h_topk, reference_direction)
+    h_topk = np.einsum("...k,...kd->...d", gate, outputs)
+    norms = np.linalg.norm(h_topk, axis=-1) * np.linalg.norm(reference, axis=-1)
+    if np.any(norms == 0.0):
+        raise DegenerateVectorError("cosine of a zero-norm vector is undefined")
+    return np.clip(np.einsum("...d,...d->...", h_topk, reference) / norms, -1.0, 1.0)
 
 
-def routing_sharpness(gate, topk, n_experts: int) -> float:
-    """Mean gate weight of selected experts minus the unselected mean."""
+def routing_sharpness(gate, topk_mask):
+    """Mean gate weight of selected experts minus the unselected mean, for
+    each row of (..., E) gates and their boolean Top-K masks."""
     gate = np.asarray(gate, dtype=np.float64)
-    if gate.size != n_experts:
-        raise InvalidInputError("gate length must equal the expert count")
-    selected = sorted(set(int(i) for i in topk))
-    if len(selected) >= n_experts:
+    mask = np.asarray(topk_mask, dtype=bool)
+    if gate.shape != mask.shape:
+        raise InvalidInputError("gate and Top-K mask shapes differ")
+    k = mask.sum(axis=-1)
+    if np.any(k == 0):
+        raise InvalidRoutingError("empty Top-K set")
+    if np.any(k == gate.shape[-1]):
         raise InvalidRoutingError("sharpness undefined when every expert is selected")
-    sel_mask = np.zeros(n_experts, dtype=bool)
-    sel_mask[selected] = True
-    return float(gate[sel_mask].mean() - gate[~sel_mask].mean())
+    selected = np.where(mask, gate, 0.0).sum(axis=-1) / k
+    unselected = np.where(mask, 0.0, gate).sum(axis=-1) / (gate.shape[-1] - k)
+    return selected - unselected
 
 
 def routing_variance(gates_by_category) -> dict:
@@ -53,28 +56,27 @@ def routing_variance(gates_by_category) -> dict:
     for category, gates in gates_by_category.items():
         if len(gates) < 2:
             raise InvalidInputError(f"category {category!r} needs >= 2 samples")
-        g = np.stack([np.asarray(v, dtype=np.float64) for v in gates])
+        g = np.asarray(gates, dtype=np.float64)
         out[category] = float(np.var(g, axis=0, ddof=1).mean())
     return out
 
 
-def selection_heatmap(decisions, n_experts: int):
+def selection_heatmap(categories, topk_mask):
     """Fraction of each category's samples whose Top-K contains each expert.
 
-    `decisions` is a list of (category, topk). Returns (categories, matrix)
-    with rows in sorted category order; every row sums to K.
+    `categories` labels the rows of the (N, E) boolean `topk_mask`. Returns
+    (categories, matrix) with rows in sorted category order; every row
+    sums to K.
     """
-    if not decisions:
+    mask = np.asarray(topk_mask, dtype=bool)
+    if mask.ndim != 2 or mask.shape[0] == 0:
         raise InvalidInputError("empty decision log")
-    categories = sorted({c for c, _ in decisions})
-    counts = {c: np.zeros(n_experts) for c in categories}
-    totals = {c: 0 for c in categories}
-    for category, topk in decisions:
-        totals[category] += 1
-        for i in topk:
-            counts[category][int(i)] += 1.0
-    matrix = np.stack([counts[c] / totals[c] for c in categories])
-    return categories, matrix
+    labels = np.asarray(categories)
+    if labels.shape != mask.shape[:1]:
+        raise InvalidInputError("one category per decision required")
+    names = sorted(set(categories))
+    matrix = np.stack([mask[labels == c].mean(axis=0) for c in names])
+    return names, matrix
 
 
 def write_heatmap_csv(path, categories, matrix):

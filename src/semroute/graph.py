@@ -1,16 +1,17 @@
 """Batched differentiable forward pass and loss for one training step.
 
 Builds the whole routing/scoring/loss graph on the autodiff tape for a
-batch of samples. Values agree with the per-sample numpy path in
-`scoring`/`losses`; gradients are validated against the finite-difference
-oracle in `numerics`.
+batch of samples. The same forward, run over constants, evaluates whole
+splits in either routing mode. Values agree with the per-sample numpy
+reference in `scoring`/`losses`; gradients are validated against the
+finite-difference oracle in `numerics`.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import MissingCueError
+from .errors import InvalidInputError, MissingCueError
 from .losses import WEIGHT_CLIP, LossBreakdown
 
 
@@ -38,22 +39,34 @@ def _expert_outputs(x_const, tensors, n_experts):
     return outs
 
 
-def forward_options(tensors, batch, config, frozen=None):
+def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     """Routing, option gates, aggregated representations and scores for a
-    batch, all on the tape. Returns (option_scores, option_reps, routing).
+    batch. Returns (option_scores, option_reps, routing).
 
-    `frozen` optionally pins {"topk_mask", "distill_target"} so a
+    Teacher mode is the training graph: it routes on the base logits plus
+    the correct answer's cue direction and takes each option's direction
+    from its cue difference. Student mode is cue-free inference: it routes
+    on the base logits and takes each option's direction from its text
+    embedding; it never reads a cue. The ablation flags of `config` act
+    here and in `batch_loss` only. Over `ad.constant` parameters nothing
+    is put on the tape.
+
+    `routing` holds the (B, E) Top-K mask, the teacher and student gates
+    (the same tensor in student mode) and the (B, E, d) stacked expert
+    outputs. `frozen` optionally pins {"topk_mask", "distill_target"} so a
     finite-difference probe differentiates the same function the analytic
     backward pass sees (Top-K selection is discrete; the distillation
     target is a constant within a step by definition).
     """
+    if mode not in ("teacher", "student"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
     frozen = frozen or {}
     n_experts = tensors["gating"].shape[1]
-    k = config.k
+    teacher = mode == "teacher"
 
-    use_sa = not (config.no_sa or config.prompt_only)
+    use_sa = teacher and not (config.no_sa or config.prompt_only)
     use_sj = not config.no_sj
-    cue_directions = not config.prompt_only
+    cue_directions = teacher and not config.prompt_only
 
     x = ad.constant(np.stack([s.input_emb for s in batch]))
     n_options = len(batch[0].options)
@@ -68,18 +81,19 @@ def forward_options(tensors, batch, config, frozen=None):
     if use_sa:
         correct_diff = ad.constant(np.stack([cue_diff(s, s.correct) for s in batch]))
         s_a = ad.matmul(correct_diff, tensors["semantic"])
-        z_teacher = ad.add(z_base, ad.scale(s_a, config.lambda_a))
+        z_route = ad.add(z_base, ad.scale(s_a, config.lambda_a))
     else:
-        z_teacher = z_base
+        z_route = z_base
 
-    g_teacher = ad.softmax_rows(z_teacher)
-    g_student = ad.softmax_rows(z_base)
+    g_route = ad.softmax_rows(z_route)
+    g_student = ad.softmax_rows(z_base) if teacher else g_route
 
     mask = frozen.get("topk_mask")
     if mask is None:
-        mask = _topk_mask(g_teacher.value, k)
+        mask = _topk_mask(g_route.value, config.k)
 
     experts = _expert_outputs(x, tensors, n_experts)
+    stacked = np.stack([e.value for e in experts], axis=1)  # (B, E, d)
 
     option_reps = []
     option_scores = []
@@ -91,18 +105,19 @@ def forward_options(tensors, batch, config, frozen=None):
             else:
                 direction = text
             s_j = ad.matmul(direction, tensors["semantic"])
-            logits = ad.add(z_teacher, ad.scale(s_j, config.lambda_o))
+            logits = ad.add(z_route, ad.scale(s_j, config.lambda_o))
         else:
-            logits = z_teacher
+            logits = z_route
         gate = ad.masked_softmax_rows(logits, mask)
-        rep = ad.mix(gate, experts)
+        rep = ad.mix(gate, experts, stacked)
         option_reps.append(rep)
         option_scores.append(ad.cosine_rows(rep, text))
 
     routing = {
         "topk_mask": mask,
-        "teacher_gate": g_teacher,
+        "teacher_gate": g_route,
         "student_gate": g_student,
+        "experts": stacked,
     }
     return option_scores, option_reps, routing
 

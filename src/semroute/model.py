@@ -29,8 +29,6 @@ class GatingDecision:
 class Model:
     """Parameter container. Names are stable; the trainer updates in place."""
 
-    PARAM_NAMES = ("gating", "semantic")  # plus per-expert blocks
-
     def __init__(self, d: int, n_experts: int, k: int, hidden: int, params: dict):
         if not 1 <= k <= n_experts:
             raise InvalidInputError(f"need 1 <= K <= E, got K={k}, E={n_experts}")

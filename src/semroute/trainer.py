@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import graph
 from .data import generate_dataset
 from .diagnostics import (
@@ -18,9 +19,10 @@ from .diagnostics import (
     sim_score,
 )
 from .errors import DataError, DivergenceError, InvalidInputError
-from .model import Model, expert_forward
+from .model import Model
+from .model import expert_forward  # noqa: F401  traced by perfbench/tracing.py
 from .numerics import seeded_rng
-from .scoring import predict, score_all_options
+from .scoring import score_all_options  # noqa: F401  traced by perfbench/tracing.py
 
 ABLATION_FLAGS = ("no_sa", "no_sj", "no_unc", "no_contrast", "no_distill",
                   "prompt_only", "only_variance")
@@ -87,6 +89,13 @@ class TrainConfig:
             raise InvalidInputError("need lr > lr_min > 0")
         if self.option_count < 2:
             raise InvalidInputError("option_count must be at least 2")
+        for name in ("eval_every", "batch", "train_size", "total_steps"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be at least 1")
+        if self.warmup_steps < 0:
+            raise InvalidInputError("warmup_steps must be non-negative")
+        if not self.temperature > 0.0:
+            raise InvalidInputError("temperature must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -107,10 +116,11 @@ class TrainConfig:
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
-    """Linear warmup to `lr`, then cosine decay to `lr_min` at total_steps."""
+    """Linear warmup to `lr`, then cosine decay to `lr_min` at total_steps.
+    With `warmup_steps=0` the decay starts at step 0."""
     if step < 0:
         raise InvalidInputError("step must be non-negative")
-    if step <= config.warmup_steps:
+    if config.warmup_steps and step <= config.warmup_steps:
         return config.lr * step / config.warmup_steps
     span = max(1, config.total_steps - config.warmup_steps)
     progress = min(1.0, (step - config.warmup_steps) / span)
@@ -162,65 +172,60 @@ def train_step(model: Model, batch, config: TrainConfig, step: int, optimizer: A
     return breakdown, aux
 
 
-def _restricted_gate(full_gate, topk):
-    idx = list(topk)
-    g = np.asarray(full_gate)[idx]
-    return g / g.sum()
-
-
 def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
-    """Accuracy, mean Sim and raw routing observations over a dataset."""
+    """Accuracy, mean Sim and the routing decisions over a dataset.
+
+    One tape-free run of `graph.forward_options` scores the whole split.
+    Sim pairs the mode's full gate, restricted to the Top-K mask, with the
+    expert outputs of the same forward; it averages over the samples whose
+    correct option has cues and is NaN when none has. `topk_mask` and
+    `gate` are the (N, E) routing decisions.
+    """
     if not dataset:
         raise DataError("cannot evaluate on an empty dataset")
-    lambda_a = 0.0 if config.no_sa else config.lambda_a
-    lambda_o = 0.0 if config.no_sj else config.lambda_o
-    correct = 0
-    sims = []
-    decisions = []
-    gates_by_category = {}
-    for sample in dataset:
-        decision, reps = score_all_options(sample, model, mode,
-                                           lambda_a=lambda_a, lambda_o=lambda_o)
-        if predict([r.score for r in reps]) == sample.correct:
-            correct += 1
-        gate_full = decision.teacher_gate if mode == "teacher" else decision.student_gate
-        cue_set = sample.options[sample.correct][1]
-        if cue_set is not None:
-            outputs = expert_forward(sample.input_emb, model, decision.topk)
-            direction = cue_set.positive - cue_set.negative
-            sims.append(sim_score(outputs, _restricted_gate(gate_full, decision.topk),
-                                  direction))
-        decisions.append((sample.category, decision.topk))
-        gates_by_category.setdefault(sample.category, []).append(gate_full)
+    tensors = {name: ad.constant(value) for name, value in model.params.items()}
+    option_scores, _, routing = graph.forward_options(tensors, dataset, config, mode=mode)
+    scores = np.stack([s.value for s in option_scores], axis=1)
+    labels = np.array([s.correct for s in dataset])
+    mask = routing["topk_mask"]
+    gate = routing[f"{mode}_gate"].value
+
+    correct_cues = [s.options[s.correct][1] for s in dataset]
+    cued = [i for i, cs in enumerate(correct_cues) if cs is not None]
+    sim_mean = float("nan")
+    if cued:
+        directions = np.stack([correct_cues[i].positive - correct_cues[i].negative
+                               for i in cued])
+        restricted = np.where(mask[cued], gate[cued], 0.0)
+        restricted /= restricted.sum(axis=1, keepdims=True)
+        sim_mean = float(np.mean(sim_score(routing["experts"][cued], restricted, directions)))
     return {
-        "accuracy": correct / len(dataset),
-        "sim_mean": float(np.mean(sims)) if sims else float("nan"),
-        "decisions": decisions,
-        "gates_by_category": gates_by_category,
+        "accuracy": int(np.count_nonzero(np.argmax(scores, axis=1) == labels)) / len(dataset),
+        "sim_mean": sim_mean,
+        "topk_mask": mask,
+        "gate": gate,
     }
 
 
 def diagnose(model: Model, dataset, mode: str, config: TrainConfig):
-    """Per-category sharpness/variance plus the selection heatmap."""
+    """Per-category sharpness/variance plus the selection heatmap, computed
+    from the (N, E) routing decisions of `evaluate`."""
     metrics = evaluate(model, dataset, mode, config)
-    variance = routing_variance(metrics["gates_by_category"])
-    sharpness = {}
-    by_cat = {}
-    for category, gates in metrics["gates_by_category"].items():
-        topks = [t for c, t in metrics["decisions"] if c == category]
-        vals = [routing_sharpness(g, t, config.n_experts)
-                for g, t in zip(gates, topks)]
-        sharpness[category] = float(np.mean(vals))
-        by_cat[category] = vals
-    categories, heatmap = selection_heatmap(metrics["decisions"], config.n_experts)
+    gate, mask = metrics["gate"], metrics["topk_mask"]
+    categories = [s.category for s in dataset]
+    sharpness_rows = routing_sharpness(gate, mask)
+    names, heatmap = selection_heatmap(categories, mask)
+    labels = np.array(categories)
+    rows = {c: labels == c for c in names}
+    variance = routing_variance({c: gate[rows[c]] for c in names})
     return {
         "accuracy": metrics["accuracy"],
         "sim_mean": metrics["sim_mean"],
         "variance": variance,
-        "sharpness": sharpness,
-        "sharpness_overall": float(np.mean([v for vals in by_cat.values() for v in vals])),
+        "sharpness": {c: float(np.mean(sharpness_rows[rows[c]])) for c in names},
+        "sharpness_overall": float(np.mean(sharpness_rows)),
         "variance_overall": float(np.mean(list(variance.values()))),
-        "heatmap_categories": categories,
+        "heatmap_categories": names,
         "heatmap": heatmap,
     }
 

@@ -16,6 +16,27 @@ def small_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def random_sample_factory(model, rng, n_options=4):
+    """A maker of random cue-scored samples at the model's dimension."""
+    from semroute.cues import CueSet, score_cue_set
+    from semroute.data import Sample
+
+    def make():
+        d = model.d
+        input_emb = rng.standard_normal(d)
+        options = []
+        for _ in range(n_options):
+            pos = rng.standard_normal(d)
+            neg = rng.standard_normal(d)
+            cues = CueSet(positive=pos, negative=neg,
+                          variants=[pos + 0.05 * rng.standard_normal(d)
+                                    for _ in range(3)])
+            options.append((rng.standard_normal(d), score_cue_set(cues, input_emb)))
+        return Sample(sample_id="r", input_emb=input_emb, options=options,
+                      correct=int(rng.integers(n_options)), category="r")
+    return make
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import random_sample_factory
 from semroute import graph
 from semroute.autodiff import bce_logistic, sum_all
 from semroute.cues import uncertainty
@@ -30,26 +31,6 @@ def report(capsys):
             print(f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
         assert ok, f"criterion {number}: {detail}"
     return _report
-
-
-def random_sample_factory(model, rng, n_options=4):
-    from semroute.cues import CueSet, score_cue_set
-    from semroute.data import Sample
-
-    def make():
-        d = model.d
-        input_emb = rng.standard_normal(d)
-        options = []
-        for _ in range(n_options):
-            pos = rng.standard_normal(d)
-            neg = rng.standard_normal(d)
-            cues = CueSet(positive=pos, negative=neg,
-                          variants=[pos + 0.05 * rng.standard_normal(d)
-                                    for _ in range(3)])
-            options.append((rng.standard_normal(d), score_cue_set(cues, input_emb)))
-        return Sample(sample_id="r", input_emb=input_emb, options=options,
-                      correct=int(rng.integers(n_options)), category="r")
-    return make
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,20 @@ class TestTensorBasics:
         ad.sum_all(ad.add(p, p)).backward()
         assert p.grad[0] == 2.0
 
+    def test_constants_carry_no_gradient_buffer(self):
+        c = ad.constant(np.ones((2, 3)))
+        w = ad.constant(np.ones((3, 2)))
+        out = ad.tanh(ad.matmul(c, w))
+        assert c.grad is None and out.grad is None
+        assert out._parents == () and out._backward is None
+
+    def test_backward_skips_constant_operands(self):
+        c = ad.constant(np.array([[1.0, 2.0]]))
+        p = ad.parameter(np.array([[3.0], [4.0]]))
+        ad.sum_all(ad.matmul(c, p)).backward()
+        np.testing.assert_array_equal(p.grad, [[1.0], [2.0]])
+        assert c.grad is None
+
 
 class TestOpGradients:
     def test_add_sub_mul(self):
@@ -129,6 +143,13 @@ class TestOpValues:
         with pytest.raises(InvalidInputError):
             ad.masked_softmax_rows(ad.constant(np.ones((1, 3))),
                                    np.zeros((1, 3), dtype=bool))
+
+    def test_mix_prestacked_outputs(self, rng):
+        w = ad.constant(rng.dirichlet(np.ones(3), size=4))
+        outputs = [ad.constant(rng.standard_normal((4, 2))) for _ in range(3)]
+        stacked = np.stack([o.value for o in outputs], axis=1)
+        np.testing.assert_array_equal(ad.mix(w, outputs, stacked).value,
+                                      ad.mix(w, outputs).value)
 
     def test_mix_shape_guard(self):
         w = ad.constant(np.ones((2, 3)))

@@ -1,5 +1,9 @@
 """End-to-end command-line workflow and exit-code contract."""
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,17 @@ from conftest import small_config
 from semroute import cli
 from semroute.errors import DivergenceError
 from semroute.losses import LossBreakdown
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """`semroute` in a fresh interpreter, so that a traceback shows on stderr."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "semroute.cli", *map(str, args)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +173,33 @@ class TestExitCodes:
                          "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_DATA
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field, value", [("eval_every", 0), ("warmup_steps", -1),
+                                              ("batch", 0), ("temperature", 0.0)])
+    def test_out_of_range_config_is_usage_error(self, workspace, tmp_path, field, value):
+        _, config, _, data_dir = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config.to_dict(), field: value}))
+        proc = run_cli("train", "--config", bad, "--data-dir", data_dir,
+                       "--out-dir", tmp_path / "out")
+        assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert field in proc.stderr
+
+    def test_ragged_eval_file_is_data_error(self, workspace, trained, tmp_path):
+        _, _, config_path, data_dir = workspace
+        edited = tmp_path / "data"
+        shutil.copytree(data_dir, edited)
+        lines = (edited / "eval.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["options"].pop()
+        lines[2] = json.dumps(rec)
+        (edited / "eval.jsonl").write_text("\n".join(lines) + "\n")
+        proc = run_cli("eval", "--config", config_path,
+                       "--checkpoint", trained / "checkpoint.json", "--data-dir", edited)
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "line 3" in proc.stderr
 
     def test_divergence_exit_code(self, workspace, tmp_path, monkeypatch, capsys):
         _, _, config_path, data_dir = workspace

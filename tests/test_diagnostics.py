@@ -16,6 +16,14 @@ from semroute.diagnostics import (
 from semroute.errors import InvalidInputError, InvalidRoutingError
 
 
+def topk_mask(topks, n_experts):
+    """(N, E) boolean mask from per-sample Top-K index tuples."""
+    mask = np.zeros((len(topks), n_experts), dtype=bool)
+    for row, topk in enumerate(topks):
+        mask[row, list(topk)] = True
+    return mask
+
+
 class TestSim:
     def test_parallel_direction(self, rng):
         h = rng.standard_normal(5)
@@ -33,23 +41,42 @@ class TestSim:
             sim_score([rng.standard_normal(5)], np.array([0.5, 0.5]),
                       rng.standard_normal(5))
 
+    def test_rows_match_single_samples(self, rng):
+        outputs = rng.standard_normal((6, 3, 5))
+        gate = rng.dirichlet(np.ones(3), size=6)
+        reference = rng.standard_normal((6, 5))
+        rows = sim_score(outputs, gate, reference)
+        assert rows.shape == (6,)
+        for i in range(6):
+            assert rows[i] == pytest.approx(
+                sim_score(list(outputs[i]), gate[i], reference[i]), rel=1e-12)
+
 
 class TestSharpness:
     def test_uniform_gate_zero(self):
-        assert routing_sharpness(np.full(4, 0.25), (0, 1), 4) == pytest.approx(0.0)
+        assert routing_sharpness(np.full(4, 0.25), topk_mask([(0, 1)], 4)[0]) == \
+            pytest.approx(0.0)
 
     def test_one_hot_selected(self):
-        assert routing_sharpness(np.array([1.0, 0, 0, 0]), (0,), 4) == 1.0
+        assert routing_sharpness(np.array([1.0, 0, 0, 0]), topk_mask([(0,)], 4)[0]) == 1.0
 
     def test_all_selected_rejected(self):
         with pytest.raises(InvalidRoutingError):
-            routing_sharpness(np.full(4, 0.25), (0, 1, 2, 3), 4)
+            routing_sharpness(np.full(4, 0.25), topk_mask([(0, 1, 2, 3)], 4)[0])
 
     def test_range(self, rng):
-        for _ in range(20):
-            g = rng.dirichlet(np.ones(6))
-            v = routing_sharpness(g, (0, 1), 6)
-            assert -1.0 < v <= 1.0
+        g = rng.dirichlet(np.ones(6), size=20)
+        v = routing_sharpness(g, topk_mask([(0, 1)] * 20, 6))
+        assert v.shape == (20,)
+        assert np.all((-1.0 < v) & (v <= 1.0))
+
+    def test_rows_match_single_samples(self, rng):
+        g = rng.dirichlet(np.ones(5), size=8)
+        mask = topk_mask([tuple(rng.choice(5, size=2, replace=False)) for _ in range(8)], 5)
+        rows = routing_sharpness(g, mask)
+        for i in range(8):
+            assert rows[i] == pytest.approx(
+                g[i][mask[i]].mean() - g[i][~mask[i]].mean(), rel=1e-12, abs=1e-15)
 
 
 class TestVariance:
@@ -73,26 +100,25 @@ class TestVariance:
 
 class TestHeatmap:
     def test_single_decision(self):
-        categories, matrix = selection_heatmap([("a", (0, 1))], 4)
+        categories, matrix = selection_heatmap(["a"], topk_mask([(0, 1)], 4))
         assert categories == ["a"]
         np.testing.assert_array_equal(matrix, [[1, 1, 0, 0]])
 
     def test_rows_sum_to_k(self, rng):
-        decisions = []
-        for i in range(50):
-            topk = tuple(sorted(rng.choice(6, size=2, replace=False)))
-            decisions.append((f"cat{i % 3}", topk))
-        categories, matrix = selection_heatmap(decisions, 6)
+        topks = [tuple(sorted(rng.choice(6, size=2, replace=False))) for _ in range(50)]
+        categories, matrix = selection_heatmap([f"cat{i % 3}" for i in range(50)],
+                                               topk_mask(topks, 6))
         assert categories == sorted(categories)
         np.testing.assert_allclose(matrix.sum(axis=1), 2.0, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            selection_heatmap([], 4)
+            selection_heatmap([], np.zeros((0, 4), dtype=bool))
 
     def test_csv_round_trip_bit_exact(self, tmp_path, rng):
-        decisions = [(f"c{i % 2}", (int(i % 3), 3)) for i in range(7)]
-        categories, matrix = selection_heatmap(decisions, 4)
+        categories, matrix = selection_heatmap(
+            [f"c{i % 2}" for i in range(7)],
+            topk_mask([(int(i % 3), 3) for i in range(7)], 4))
         path = tmp_path / "heatmap.csv"
         write_heatmap_csv(path, categories, matrix)
         loaded_categories, loaded = read_heatmap_csv(path)

@@ -1,4 +1,6 @@
 """Batched differentiable forward/loss vs. the per-sample numpy path."""
+import gc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -168,6 +170,23 @@ class TestGradients:
         # at least the routing parameters must receive signal
         assert np.any(tensors["gating"].grad != 0.0)
         assert np.any(tensors["semantic"].grad != 0.0)
+
+    def test_tape_freed_without_cycle_collector(self, setup):
+        # a tape with reference cycles waits for the garbage collector,
+        # whose pauses land in arbitrary training steps
+        config, model, batch = setup
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            (total, _, _), _ = run_batch(config, model, batch)
+            total.backward()
+            del total
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, graph.ad.Tensor)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
     def test_determinism(self, setup):
         config, model, batch = setup

@@ -1,5 +1,6 @@
 """Scheduler, optimizer, training loop, evaluation and the sweep harness."""
 import csv
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,11 @@ class TestSchedule:
     def test_negative_step_rejected(self):
         with pytest.raises(InvalidInputError):
             lr_at(-1, TrainConfig())
+
+    def test_zero_warmup_starts_at_peak(self):
+        config = TrainConfig(warmup_steps=0)
+        assert lr_at(0, config) == pytest.approx(config.lr, rel=1e-12)
+        assert lr_at(config.total_steps, config) == pytest.approx(config.lr_min, rel=1e-9)
 
 
 class TestClip:
@@ -118,6 +124,15 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             TrainConfig(lambda_a=-0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eval_every", 0), ("batch", 0), ("train_size", 0), ("total_steps", 0),
+        ("warmup_steps", -1), ("temperature", 0.0), ("temperature", -1.0),
+        ("temperature", float("nan")),
+    ])
+    def test_out_of_range_rejected_up_front(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestDataGeneration:
     def test_same_seed_bit_identical(self, config):
@@ -157,6 +172,26 @@ class TestDataGeneration:
             for (ta, ca), (tb, cb) in zip(a.options, b.options):
                 np.testing.assert_array_equal(ta, tb)
                 np.testing.assert_array_equal(ca.positive, cb.positive)
+
+
+class TestLoadDataset:
+    @pytest.mark.parametrize("edit", ["drop_option", "short_input", "short_option"])
+    def test_ragged_file_rejected(self, config, tmp_path, edit):
+        samples, _ = generate_dataset(config, seed=0)
+        path = tmp_path / "train.jsonl"
+        save_dataset(samples[:3], path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        if edit == "drop_option":
+            rec["options"].pop()
+        elif edit == "short_input":
+            rec["input_emb"].pop()
+        else:
+            rec["options"][1].pop()
+        lines[3] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 4"):
+            load_dataset(path)
 
 
 class TestEvaluate:
