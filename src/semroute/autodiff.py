@@ -147,16 +147,17 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """(..., n) @ (n, m): a 2-D right operand under any leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
+    if a.value.ndim < 2 or b.value.ndim != 2:
+        raise ShapeError("matmul expects an N-D left and a 2-D right operand")
     out = Tensor(a.value @ b.value)
 
     def backward(g):
         if a.grad is not None:
             a.grad += g @ b.value.T
         if b.grad is not None:
-            b.grad += a.value.T @ g
+            b.grad += a.value.reshape(-1, b.value.shape[0]).T @ g.reshape(-1, b.value.shape[1])
 
     return _attach(out, (a, b), backward)
 
@@ -206,45 +207,41 @@ def masked_softmax_rows(z, mask) -> Tensor:
     return _attach(out, (z,), backward)
 
 
-def mix(weights, outputs, stacked=None) -> Tensor:
-    """Weighted sum of stacked vectors: (B,E) weights x list of E (B,d).
-
-    `stacked` may pass the outputs' values already stacked to (B,E,d), so
-    that a forward mixing the same outputs for every option stacks once.
-    """
-    weights = _as_tensor(weights)
-    outputs = [_as_tensor(o) for o in outputs]
-    if weights.value.shape[-1] != len(outputs):
-        raise ShapeError("one weight column per mixed tensor required")
-    stackv = np.stack([o.value for o in outputs], axis=1) if stacked is None else stacked
-    out = Tensor(np.einsum("be,bed->bd", weights.value, stackv))
+def mix(weights, values) -> Tensor:
+    """Weighted sums of the rows of `values` (..., E, d): (..., E) weights
+    give (..., d), and (..., J, E) weights give J mixtures, (..., J, d)."""
+    w, v = _as_tensor(weights), _as_tensor(values)
+    wv = w.value if w.value.ndim == v.value.ndim else w.value[..., None, :]
+    if wv.shape[:-2] != v.value.shape[:-2] or wv.shape[-1] != v.value.shape[-2]:
+        raise ShapeError("one weight per mixed row required")
+    out = Tensor((wv @ v.value).reshape(w.value.shape[:-1] + v.value.shape[-1:]))
 
     def backward(g):
-        if weights.grad is not None:
-            weights.grad += np.einsum("bd,bed->be", g, stackv)
-        for i, o in enumerate(outputs):
-            if o.grad is not None:
-                o.grad += weights.value[:, i, None] * g
+        g = g.reshape(wv.shape[:-1] + g.shape[-1:])
+        if w.grad is not None:
+            w.grad += (g @ np.swapaxes(v.value, -1, -2)).reshape(w.value.shape)
+        if v.grad is not None:
+            v.grad += np.swapaxes(wv, -1, -2) @ g
 
-    return _attach(out, (weights, *outputs), backward)
+    return _attach(out, (w, v), backward)
 
 
 def cosine_rows(a, b) -> Tensor:
+    """Cosine similarity over the last axis, under any leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
-    na = np.linalg.norm(a.value, axis=-1)
-    nb = np.linalg.norm(b.value, axis=-1)
+    na = np.linalg.norm(a.value, axis=-1, keepdims=True)
+    nb = np.linalg.norm(b.value, axis=-1, keepdims=True)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise InvalidInputError("cosine of a zero-norm row")
-    dots = np.einsum("bd,bd->b", a.value, b.value)
-    c = dots / (na * nb)
-    out = Tensor(c)
+    c = np.einsum("...d,...d->...", a.value, b.value)[..., None] / (na * nb)
+    out = Tensor(c[..., 0])
 
     def backward(g):
-        g = g[:, None]
+        g = g[..., None]
         if a.grad is not None:
-            a.grad += g * (b.value / (na * nb)[:, None] - c[:, None] * a.value / (na * na)[:, None])
+            a.grad += g * (b.value / (na * nb) - c * a.value / (na * na))
         if b.grad is not None:
-            b.grad += g * (a.value / (na * nb)[:, None] - c[:, None] * b.value / (nb * nb)[:, None])
+            b.grad += g * (a.value / (na * nb) - c * b.value / (nb * nb))
 
     return _attach(out, (a, b), backward)
 
@@ -281,7 +278,7 @@ def kl_rows(p, q) -> Tensor:
 
 
 def stack_cols(cols) -> Tensor:
-    """Stack a list of (B,) tensors into a (B, J) matrix."""
+    """Stack a list of n (B, ...) tensors along a new axis 1: (B, n, ...)."""
     cols = [_as_tensor(c) for c in cols]
     out = Tensor(np.stack([c.value for c in cols], axis=1))
 
@@ -291,6 +288,17 @@ def stack_cols(cols) -> Tensor:
                 c.grad += g[:, i]
 
     return _attach(out, tuple(cols), backward)
+
+
+def expand(a, n: int) -> Tensor:
+    """Repeat a (B, ...) tensor n times along a new axis 1: (B, n, ...)."""
+    a = _as_tensor(a)
+    out = Tensor(np.repeat(a.value[:, None], n, axis=1))
+
+    def backward(g):
+        a.grad += g.sum(axis=1)
+
+    return _attach(out, (a,), backward)
 
 
 def sum_all(a) -> Tensor:

@@ -184,8 +184,7 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
     if not dataset:
         raise DataError("cannot evaluate on an empty dataset")
     tensors = {name: ad.constant(value) for name, value in model.params.items()}
-    option_scores, _, routing = graph.forward_options(tensors, dataset, config, mode=mode)
-    scores = np.stack([s.value for s in option_scores], axis=1)
+    scores, _, routing = graph.forward_options(tensors, dataset, config, mode=mode)
     labels = np.array([s.correct for s in dataset])
     mask = routing["topk_mask"]
     gate = routing[f"{mode}_gate"].value
@@ -200,7 +199,7 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
         restricted /= restricted.sum(axis=1, keepdims=True)
         sim_mean = float(np.mean(sim_score(routing["experts"][cued], restricted, directions)))
     return {
-        "accuracy": int(np.count_nonzero(np.argmax(scores, axis=1) == labels)) / len(dataset),
+        "accuracy": int(np.count_nonzero(np.argmax(scores.value, axis=1) == labels)) / len(dataset),
         "sim_mean": sim_mean,
         "topk_mask": mask,
         "gate": gate,

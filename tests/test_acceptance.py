@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_sample_factory
 from semroute import graph
-from semroute.autodiff import bce_logistic, sum_all
+from semroute.autodiff import bce_logistic, constant, mul, sum_all
 from semroute.cues import uncertainty
 from semroute.data import generate_dataset
 from semroute.gradcheck import REL_TOL, gradient_check
@@ -123,11 +123,14 @@ def test_criterion_4_gradient_rescaling_bound(report, rng):
 
         frozen = {"topk_mask": aux["topk_mask"]}
         bce_norms = {n: 0.0 for n in main_norms}
+        labels = np.eye(config.option_count)[[sample.correct]]  # (1, J)
         for oid in range(config.option_count):
             tensors_o = graph.parameter_tensors(model)
             scores, _, _ = graph.forward_options(tensors_o, batch, config, frozen)
-            label = np.array([1.0 if sample.correct == oid else 0.0])
-            sum_all(bce_logistic(scores[oid], label, config.temperature)).backward()
+            # option oid's BCE alone: a one-hot column weight over the (1, J) BCE
+            column = constant(np.eye(config.option_count)[[oid]])
+            sum_all(mul(bce_logistic(scores, labels, config.temperature),
+                        column)).backward()
             for name, t in tensors_o.items():
                 bce_norms[name] += np.linalg.norm(t.grad)
         for name in main_norms:

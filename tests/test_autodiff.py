@@ -98,15 +98,29 @@ class TestOpGradients:
                                              ad.constant(_coeff((4, 5))))),
                  {"z": (4, 5)})
 
+    def test_matmul_leading_axes(self):
+        check_op(lambda t: ad.sum_all(ad.tanh(ad.matmul(t["x"], t["w"]))),
+                 {"x": (2, 4, 3), "w": (3, 5)})
+
     def test_mix(self):
+        # (B, E) weights over (B, E, d) values, gradient into both
         def build(t):
-            return ad.sum_all(ad.tanh(ad.mix(ad.softmax_rows(t["w"]),
-                                             [t["h0"], t["h1"], t["h2"]])))
-        check_op(build, {"w": (4, 3), "h0": (4, 2), "h1": (4, 2), "h2": (4, 2)})
+            return ad.sum_all(ad.tanh(ad.mix(ad.softmax_rows(t["w"]), t["v"])))
+        check_op(build, {"w": (4, 3), "v": (4, 3, 2)})
+
+    def test_mix_option_axis(self):
+        # (B, J, E) weights over (B, E, d) values give (B, J, d)
+        def build(t):
+            return ad.sum_all(ad.tanh(ad.mix(ad.softmax_rows(t["w"]), t["v"])))
+        check_op(build, {"w": (4, 5, 3), "v": (4, 3, 2)})
 
     def test_cosine_rows(self):
         check_op(lambda t: ad.sum_all(ad.cosine_rows(t["a"], t["b"])),
                  {"a": (5, 4), "b": (5, 4)}, atol=1e-6)
+
+    def test_cosine_rows_leading_axes(self):
+        check_op(lambda t: ad.sum_all(ad.tanh(ad.cosine_rows(t["a"], t["b"]))),
+                 {"a": (3, 2, 4), "b": (3, 2, 4)}, atol=1e-6)
 
     def test_bce_logistic(self):
         labels = np.array([1.0, 0.0, 1.0, 0.0])
@@ -123,6 +137,15 @@ class TestOpGradients:
     def test_stack_cols(self):
         check_op(lambda t: ad.sum_all(ad.tanh(ad.stack_cols([t["a"], t["b"]]))),
                  {"a": (4,), "b": (4,)})
+
+    def test_stack_cols_of_rows(self):
+        check_op(lambda t: ad.sum_all(ad.tanh(ad.stack_cols([t["a"], t["b"]]))),
+                 {"a": (4, 3), "b": (4, 3)})
+
+    def test_expand(self):
+        check_op(lambda t: ad.sum_all(ad.mul(ad.expand(t["a"], 3),
+                                             ad.constant(_coeff((2, 3, 4))))),
+                 {"a": (2, 4)})
 
     def test_mean_all(self):
         check_op(lambda t: ad.mean_all(ad.mul(t["a"], t["a"])), {"a": (3, 3)})
@@ -144,17 +167,22 @@ class TestOpValues:
             ad.masked_softmax_rows(ad.constant(np.ones((1, 3))),
                                    np.zeros((1, 3), dtype=bool))
 
-    def test_mix_prestacked_outputs(self, rng):
-        w = ad.constant(rng.dirichlet(np.ones(3), size=4))
-        outputs = [ad.constant(rng.standard_normal((4, 2))) for _ in range(3)]
-        stacked = np.stack([o.value for o in outputs], axis=1)
-        np.testing.assert_array_equal(ad.mix(w, outputs, stacked).value,
-                                      ad.mix(w, outputs).value)
+    def test_mix_option_axis_values(self, rng):
+        w = rng.dirichlet(np.ones(3), size=(4, 2))  # (B, J, E)
+        v = rng.standard_normal((4, 3, 5))          # (B, E, d)
+        out = ad.mix(ad.constant(w), ad.constant(v)).value
+        np.testing.assert_allclose(out, np.einsum("bje,bed->bjd", w, v), atol=1e-14)
 
     def test_mix_shape_guard(self):
         w = ad.constant(np.ones((2, 3)))
         with pytest.raises(ShapeError):
-            ad.mix(w, [ad.constant(np.ones((2, 4)))] * 2)
+            ad.mix(w, ad.constant(np.ones((2, 4, 5))))
+        with pytest.raises(ShapeError):
+            ad.mix(w, ad.constant(np.ones((3, 3, 5))))
+
+    def test_matmul_shape_guard(self):
+        with pytest.raises(ShapeError):
+            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3, 4))))
 
     def test_topological_order_diamond(self):
         # f = (x*x) + (x*x) reuses an intermediate node; grad must be 4x

@@ -81,7 +81,7 @@ class TestParityWithPerSamplePath:
                                                 lambda_o=config.lambda_o)
             assert tuple(np.flatnonzero(mask[row])) == decision.topk
             for oid, srep in enumerate(sreps):
-                np.testing.assert_allclose(reps[oid].value[row],
+                np.testing.assert_allclose(reps.value[row, oid],
                                            srep.aggregated, atol=1e-10)
 
 
@@ -90,15 +90,12 @@ class TestSpanProperty:
         config, model, batch = setup
         tensors = graph.parameter_tensors(model)
         _, reps, routing = graph.forward_options(tensors, batch, config)
-        experts = graph._expert_outputs(
-            graph.ad.constant(np.stack([s.input_emb for s in batch])),
-            tensors, config.n_experts)
-        stacked = np.stack([e.value for e in experts], axis=1)  # (B, E, d)
+        stacked = routing["experts"]  # (B, E, d)
         mask = routing["topk_mask"]
         for oid in range(len(batch[0].options)):
             for row in range(len(batch)):
                 basis = stacked[row][mask[row]].T  # (d, K)
-                target = reps[oid].value[row]
+                target = reps.value[row, oid]
                 coeffs = np.linalg.lstsq(basis, target, rcond=None)[0]
                 misfit = basis @ coeffs - target
                 assert np.linalg.norm(misfit) < 1e-9
