@@ -129,6 +129,10 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
         lines = fh.read().splitlines()
     if not lines:
         raise DataError(f"dataset file {path} is empty")
+    try:
+        count = json.loads(lines[0])["count"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} line 1: malformed header: {exc}") from exc
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -139,6 +143,8 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
             texts = [np.asarray(text, dtype=np.float64) for text in rec["options"]]
             if input_emb.ndim != 1 or any(t.shape != input_emb.shape for t in texts):
                 raise DataError("input and option embeddings must be 1-D vectors of equal length")
+            if not (np.isfinite(input_emb).all() and all(np.isfinite(t).all() for t in texts)):
+                raise DataError("input and option embeddings must be finite")
             if samples and (len(texts), input_emb.shape) != (len(samples[0].options),
                                                              samples[0].input_emb.shape):
                 raise DataError(f"{len(texts)} options of dimension {input_emb.size}, "
@@ -164,6 +170,8 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
         # arrays, and the DataError raised above
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path} line {lineno}: {exc}") from exc
+    if count != len(samples):
+        raise DataError(f"{path}: the header counts {count} samples, the file holds {len(samples)}")
     return samples
 
 

@@ -73,16 +73,36 @@ class Model:
     @classmethod
     def load(cls, path) -> "Model":
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            text = fh.read()
         try:
+            payload = json.loads(text)
             dims = payload["dims"]
             params = {
                 name: np.asarray(flat, dtype=np.float64).reshape(payload["shapes"][name])
                 for name, flat in payload["params"].items()
             }
-            return cls(dims["d"], dims["E"], dims["K"], dims["hidden"], params)
-        except (KeyError, ValueError) as exc:
+            model = cls(dims["d"], dims["E"], dims["K"], dims["hidden"], params)
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed checkpoint {path}: {exc}") from exc
+        expected = param_shapes(model.d, model.n_experts, model.hidden)
+        wrong = sorted(name for name in expected.keys() | params.keys()
+                       if name not in params or params[name].shape != expected.get(name))
+        if wrong:
+            raise DataError(f"checkpoint {path}: parameters missing, unexpected or of the "
+                            f"wrong shape for its dims: {wrong}")
+        bad = sorted(name for name, value in params.items() if not np.isfinite(value).all())
+        if bad:
+            raise DataError(f"checkpoint {path}: non-finite values in {bad}")
+        return model
+
+
+def param_shapes(d: int, n_experts: int, hidden: int) -> dict:
+    """Name -> shape of every parameter of a model with these dims."""
+    shapes = {"gating": (d, n_experts), "semantic": (d, n_experts)}
+    for i in range(n_experts):
+        shapes.update({f"expert{i}_w1": (d, hidden), f"expert{i}_b1": (hidden,),
+                       f"expert{i}_w2": (hidden, d), f"expert{i}_b2": (d,)})
+    return shapes
 
 
 def config_hash(config_dict: dict) -> str:

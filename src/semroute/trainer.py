@@ -80,22 +80,30 @@ class TrainConfig:
     only_variance: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidInputError(f"{f.name} must be finite, got {value}")
         if not 1 <= self.k <= self.n_experts:
             raise InvalidInputError(f"need 1 <= K <= E, got K={self.k}, E={self.n_experts}")
-        for name in ("lambda_a", "lambda_o", "lambda_c"):
-            if getattr(self, name) < 0.0:
-                raise InvalidInputError(f"{name} must be non-negative")
         if not self.lr > self.lr_min > 0.0:
             raise InvalidInputError("need lr > lr_min > 0")
         if self.option_count < 2:
             raise InvalidInputError("option_count must be at least 2")
-        for name in ("eval_every", "batch", "train_size", "total_steps"):
+        for name in ("d", "hidden", "eval_every", "batch", "train_size", "eval_size",
+                     "total_steps"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be at least 1")
-        if self.warmup_steps < 0:
-            raise InvalidInputError("warmup_steps must be non-negative")
-        if not self.temperature > 0.0:
-            raise InvalidInputError("temperature must be positive")
+        for name in ("warmup_steps", "lambda_a", "lambda_o", "lambda_c", "weight_decay",
+                     "input_noise", "option_noise", "cue_noise"):
+            if getattr(self, name) < 0:
+                raise InvalidInputError(f"{name} must be non-negative")
+        for name in ("temperature", "adam_eps", "grad_clip_norm"):
+            if not getattr(self, name) > 0.0:
+                raise InvalidInputError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise InvalidInputError(f"{name} must be in [0, 1)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -172,6 +180,12 @@ def train_step(model: Model, batch, config: TrainConfig, step: int, optimizer: A
     return breakdown, aux
 
 
+def _check_dim(dataset, d: int):
+    if dataset and dataset[0].input_emb.size != d:
+        raise DataError(f"dataset embeddings have dimension {dataset[0].input_emb.size}, "
+                        f"the model {d}")
+
+
 def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
     """Accuracy, mean Sim and the routing decisions over a dataset.
 
@@ -183,6 +197,11 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
     """
     if not dataset:
         raise DataError("cannot evaluate on an empty dataset")
+    dims = (model.d, model.n_experts, model.k, model.hidden)
+    if dims != (config.d, config.n_experts, config.k, config.hidden):
+        raise InvalidInputError(f"model (d, E, K, hidden) = {dims} differ from the config's "
+                                f"{(config.d, config.n_experts, config.k, config.hidden)}")
+    _check_dim(dataset, model.d)
     tensors = {name: ad.constant(value) for name, value in model.params.items()}
     scores, _, routing = graph.forward_options(tensors, dataset, config, mode=mode)
     labels = np.array([s.correct for s in dataset])
@@ -231,6 +250,7 @@ def diagnose(model: Model, dataset, mode: str, config: TrainConfig):
 
 def train(config: TrainConfig, train_set, eval_set, metrics_path=None):
     """Full training run; returns (model, list of per-step metric rows)."""
+    _check_dim(train_set, config.d)
     model = Model.init(config.d, config.n_experts, config.k, config.hidden, config.seed)
     optimizer = AdamW(model.params.keys(),
                       {n: p.shape for n, p in model.params.items()}, config)

@@ -1,0 +1,41 @@
+"""The benchmark under `perfbench/` reads the program by name: its tracer
+patches functions and tape ops where they are looked up, and its oracle
+re-implements `evaluate` from the parameter names. A change that breaks
+either would otherwise show only when the benchmark runs."""
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import small_config
+from semroute import autodiff
+from semroute.data import generate_dataset
+from semroute.trainer import evaluate, train
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
+import tracing  # noqa: E402
+
+
+def test_tracer_patches_and_restores_every_name():
+    originals = {op: getattr(autodiff, op) for op in tracing.TAPE_OPS}
+    with tracing.Tracer().installed():
+        assert all(getattr(autodiff, op) is not fn for op, fn in originals.items())
+    assert all(getattr(autodiff, op) is fn for op, fn in originals.items())
+
+
+@pytest.fixture(scope="module")
+def trained():
+    config = small_config(eval_size=60)
+    train_set, eval_set = generate_dataset(config, config.seed)
+    model, _ = train(config, train_set, eval_set)
+    return config, model, eval_set
+
+
+@pytest.mark.parametrize("mode", ["teacher", "student"])
+def test_oracle_matches_evaluate(trained, mode):
+    config, model, eval_set = trained
+    metrics = evaluate(model, eval_set, mode, config)
+    accuracy, sim = checks.oracle_evaluate(model, eval_set, mode, config)
+    assert metrics["accuracy"] == accuracy
+    assert metrics["sim_mean"] == pytest.approx(sim, rel=1e-9, abs=0.0)

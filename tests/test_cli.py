@@ -175,7 +175,8 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("field, value", [("eval_every", 0), ("warmup_steps", -1),
-                                              ("batch", 0), ("temperature", 0.0)])
+                                              ("batch", 0), ("temperature", 0.0),
+                                              ("d", 0), ("beta1", 1.5)])
     def test_out_of_range_config_is_usage_error(self, workspace, tmp_path, field, value):
         _, config, _, data_dir = workspace
         bad = tmp_path / "bad.json"
@@ -214,3 +215,56 @@ class TestExitCodes:
                          "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_DIVERGENCE
         capsys.readouterr()
+
+    def test_non_finite_eval_file_is_data_error(self, workspace, trained, tmp_path):
+        _, _, config_path, data_dir = workspace
+        edited = tmp_path / "data"
+        shutil.copytree(data_dir, edited)
+        lines = (edited / "eval.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["options"][1][0] = float("inf")  # no cue score reads the option text
+        lines[2] = json.dumps(rec)
+        (edited / "eval.jsonl").write_text("\n".join(lines) + "\n")
+        proc = run_cli("eval", "--config", config_path,
+                       "--checkpoint", trained / "checkpoint.json", "--data-dir", edited)
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "finite" in proc.stderr
+
+    def test_checkpoint_missing_parameter_is_data_error(self, workspace, trained, tmp_path):
+        _, _, config_path, data_dir = workspace
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        del payload["params"]["expert0_w1"], payload["shapes"]["expert0_w1"]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload))
+        proc = run_cli("eval", "--config", config_path, "--checkpoint", checkpoint,
+                       "--data-dir", data_dir)
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "expert0_w1" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_checkpoint_config_mismatch_is_data_error(self, workspace, trained, tmp_path,
+                                                      command):
+        # the checkpoint selects Top-2; a Top-1 config must not evaluate it silently
+        _, config, _, data_dir = workspace
+        other = tmp_path / "k1.json"
+        other.write_text(json.dumps({**config.to_dict(), "k": 1}))
+        extra = ["--out-dir", tmp_path / "diag"] if command == "diagnose" else []
+        proc = run_cli(command, "--config", other, "--checkpoint", trained / "checkpoint.json",
+                       "--data-dir", data_dir, *extra)
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "differ from the config" in proc.stderr
+
+    def test_train_without_cues_under_no_sa_no_sj_is_data_error(self, workspace, tmp_path):
+        # with both directions ablated only the contrastive term reads cues
+        _, _, config_path, data_dir = workspace
+        edited = tmp_path / "data"
+        shutil.copytree(data_dir, edited)
+        (edited / "cues_train.jsonl").unlink()
+        proc = run_cli("train", "--config", config_path, "--data-dir", edited,
+                       "--out-dir", tmp_path / "out", "--ablate", "no_sa,no_sj")
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "no cues" in proc.stderr

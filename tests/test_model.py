@@ -1,8 +1,10 @@
 """Router parameters, gating functions, Top-K selection and checkpoints."""
+import json
+
 import numpy as np
 import pytest
 
-from semroute.errors import InvalidInputError, InvalidRoutingError, ShapeError
+from semroute.errors import DataError, InvalidInputError, InvalidRoutingError, ShapeError
 from semroute.model import (
     Model,
     base_logits,
@@ -154,6 +156,30 @@ class TestCheckpoint:
             (model.d, model.n_experts, model.k, model.hidden)
         for name, value in model.params.items():
             np.testing.assert_array_equal(loaded.params[name], value)
+
+    @pytest.mark.parametrize("edit", ["missing", "unexpected", "shape", "nan", "dims",
+                                      "not_json", "no_dims"])
+    def test_inconsistent_checkpoint_rejected(self, tmp_path, edit):
+        path = tmp_path / "checkpoint.json"
+        make_model().save(path)
+        payload = json.loads(path.read_text())
+        params, shapes = payload["params"], payload["shapes"]
+        if edit == "missing":
+            del params["expert0_w1"], shapes["expert0_w1"]
+        elif edit == "unexpected":
+            params["bonus"], shapes["bonus"] = [1.0], [1]
+        elif edit == "shape":
+            shapes["gating"] = shapes["gating"][::-1]
+        elif edit == "nan":
+            params["semantic"][3] = float("nan")
+        elif edit == "dims":
+            payload["dims"]["E"] = 3
+        elif edit == "no_dims":
+            del payload["dims"]
+        text = "{" if edit == "not_json" else json.dumps(payload)
+        path.write_text(text)
+        with pytest.raises(DataError):
+            Model.load(path)
 
     def test_copy_is_independent(self):
         model = make_model()

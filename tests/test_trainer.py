@@ -127,7 +127,11 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("eval_every", 0), ("batch", 0), ("train_size", 0), ("total_steps", 0),
         ("warmup_steps", -1), ("temperature", 0.0), ("temperature", -1.0),
-        ("temperature", float("nan")),
+        ("temperature", float("nan")), ("d", 0), ("hidden", 0), ("eval_size", 0),
+        ("beta1", 1.5), ("beta1", -0.1), ("beta2", 1.0), ("adam_eps", 0.0),
+        ("grad_clip_norm", 0.0), ("weight_decay", -0.01), ("input_noise", -1.0),
+        ("option_noise", -0.3), ("cue_noise", -0.05), ("lambda_a", float("nan")),
+        ("lr", float("inf")),
     ])
     def test_out_of_range_rejected_up_front(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
@@ -193,6 +197,33 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 4"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("edit, where", [
+        ("inf_input", "line 3"), ("nan_option", "line 3"), ("count_high", "count"),
+        ("count_low", "count"), ("no_count", "line 1"), ("bad_header", "line 1"),
+    ])
+    def test_non_finite_values_and_wrong_count_rejected(self, config, tmp_path, edit, where):
+        samples, _ = generate_dataset(config, seed=0)
+        path = tmp_path / "train.jsonl"
+        save_dataset(samples[:3], path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        if edit == "inf_input":
+            rec["input_emb"][0] = float("inf")
+        elif edit == "nan_option":
+            rec["options"][1][2] = float("nan")
+        elif edit == "count_high":
+            lines[0] = json.dumps({"version": 1, "count": 4})
+        elif edit == "count_low":
+            lines[0] = json.dumps({"version": 1, "count": 2})
+        elif edit == "no_count":
+            lines[0] = json.dumps({"version": 1})
+        else:
+            lines[0] = "[1, 2"
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=where):
+            load_dataset(path)
+
 
 class TestEvaluate:
     def test_untrained_model_is_chance_level(self):
@@ -207,6 +238,22 @@ class TestEvaluate:
         model = Model.init(config.d, config.n_experts, config.k, config.hidden, 0)
         with pytest.raises(DataError):
             evaluate(model, [], "student", config)
+
+    @pytest.mark.parametrize("change", [{"k": 1}, {"n_experts": 5}, {"hidden": 7}, {"d": 9}])
+    def test_model_config_mismatch_rejected(self, config, change):
+        # a K=2 model evaluated under a K=1 config would select Top-1 silently
+        _, eval_set = generate_dataset(config, seed=0)
+        model = Model.init(config.d, config.n_experts, config.k, config.hidden, 0)
+        with pytest.raises(InvalidInputError, match="differ from the config"):
+            evaluate(model, eval_set, "student", replace(config, **change))
+
+    def test_dataset_dimension_mismatch_rejected(self, config):
+        _, eval_set = generate_dataset(replace(config, d=config.d + 2), seed=0)
+        model = Model.init(config.d, config.n_experts, config.k, config.hidden, 0)
+        with pytest.raises(DataError, match="dimension"):
+            evaluate(model, eval_set, "student", config)
+        with pytest.raises(DataError, match="dimension"):
+            train(config, eval_set, eval_set)
 
 
 @pytest.fixture(scope="module")
