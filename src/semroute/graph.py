@@ -142,6 +142,7 @@ def batch_loss(tensors, batch, config, frozen=None):
     onehot[np.arange(n), labels] = 1.0
 
     # main loss: per-option BCE weighted by cue confidence, summed per sample
+    # and averaged over the batch (the weights carry the 1/B)
     if use_unc:
         uncs = np.array([[cs.uncertainty if cs is not None else 0.0 for _, cs in s.options]
                          for s in batch])

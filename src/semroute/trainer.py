@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -82,6 +83,9 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidInputError(f"{f.name} must be finite, got {value}")
         if not 1 <= self.k <= self.n_experts:

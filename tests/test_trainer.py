@@ -131,7 +131,7 @@ class TestConfig:
         ("beta1", 1.5), ("beta1", -0.1), ("beta2", 1.0), ("adam_eps", 0.0),
         ("grad_clip_norm", 0.0), ("weight_decay", -0.01), ("input_noise", -1.0),
         ("option_noise", -0.3), ("cue_noise", -0.05), ("lambda_a", float("nan")),
-        ("lr", float("inf")),
+        ("lr", float("inf")), ("d", 8.5), ("batch", True),
     ])
     def test_out_of_range_rejected_up_front(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
