@@ -67,8 +67,13 @@ def constant(x) -> Tensor:
     return Tensor(x)
 
 
-def parameter(x) -> Tensor:
-    return Tensor(x, requires_grad=True)
+def parameter(x, grad=None) -> Tensor:
+    """A tape leaf that receives a gradient: into `grad`, an array of its
+    shape (for example a view into one flat gradient vector), if given."""
+    t = Tensor(x)
+    t.requires_grad = True
+    t.grad = np.zeros_like(t.value) if grad is None else grad
+    return t
 
 
 def _as_tensor(x) -> Tensor:
@@ -263,18 +268,56 @@ def bce_logistic(scores, labels, temperature: float) -> Tensor:
 
 
 def kl_rows(p, q) -> Tensor:
-    """Row-wise KL(p || q); p is a constant target, grad flows to q only."""
+    """Row-wise KL(p || q); p is a constant target, grad flows to q only.
+    Where q has underflowed to zero and p has not, the KL is infinite: a
+    non-finite loss, which training reports as divergence."""
     p = np.asarray(p.value if isinstance(p, Tensor) else p, dtype=np.float64)
     q = _as_tensor(q)
-    if np.any(q.value <= 0.0):
-        raise InvalidInputError("q must be strictly positive")
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, PROB_EPS)) - np.log(q.value)), 0.0)
+    if np.any(q.value < 0.0):
+        raise InvalidInputError("q must be non-negative")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * (np.log(np.maximum(p, PROB_EPS)) - np.log(q.value)), 0.0)
     out = Tensor(terms.sum(axis=-1))
 
     def backward(g):
-        q.grad += g[..., None] * (-p / q.value)
+        # entries with p = 0 contribute nothing, even where q underflowed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q.grad += g[..., None] * np.where(p > 0.0, -p / q.value, 0.0)
 
     return _attach(out, (q,), backward)
+
+
+def experts(x, w1, b1, w2, b2) -> Tensor:
+    """E two-layer tanh perceptrons applied to the same (B, d) rows, as one
+    node: tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e] for w1 (E, d, h),
+    b1 (E, h), w2 (E, h, d) and b2 (E, d), stacked as (B, E, d)."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    n, d, h = w1.value.shape if w1.value.ndim == 3 else (-1, -1, -1)
+    if (x.value.ndim != 2 or x.value.shape[1] != d
+            or [t.value.shape for t in (b1, w2, b2)] != [(n, h), (n, h, d), (n, d)]):
+        raise ShapeError("experts expects x (B, d), w1 (E, d, h), b1 (E, h), "
+                         "w2 (E, h, d) and b2 (E, d)")
+    hidden = np.tanh(x.value @ w1.value + b1.value[:, None, :])      # (E, B, h)
+    y = hidden @ w2.value + b2.value[:, None, :]                       # (E, B, d)
+    out = Tensor(np.ascontiguousarray(y.transpose(1, 0, 2)))
+
+    def backward(g):
+        g = np.ascontiguousarray(g.transpose(1, 0, 2))                 # (E, B, d)
+        if b2.grad is not None:
+            b2.grad += g.sum(axis=1)
+        if w2.grad is not None:
+            w2.grad += np.swapaxes(hidden, 1, 2) @ g
+        if not _needs(x, w1, b1):
+            return
+        g_pre = (g @ np.swapaxes(w2.value, 1, 2)) * (1.0 - hidden * hidden)  # (E, B, h)
+        if b1.grad is not None:
+            b1.grad += g_pre.sum(axis=1)
+        if w1.grad is not None:
+            w1.grad += x.value.T @ g_pre
+        if x.grad is not None:
+            x.grad += (g_pre @ np.swapaxes(w1.value, 1, 2)).sum(axis=0)
+
+    return _attach(out, (x, w1, b1, w2, b2), backward)
 
 
 def stack_cols(cols) -> Tensor:

@@ -47,10 +47,6 @@ def generate_dataset(config, seed: int):
     rng = seeded_rng(seed)
     d = config.d
     n_concepts = config.n_concepts
-    if config.option_count > n_concepts:
-        raise InvalidInputError(
-            f"option_count {config.option_count} exceeds concept count {n_concepts}"
-        )
     centroids = _unit_rows(rng, n_concepts, d)
     rotation = _random_rotation(rng, d)
 

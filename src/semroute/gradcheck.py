@@ -26,12 +26,14 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def gradient_check(config: TrainConfig, batch=None, step: float = 1e-5):
     """Compare tape gradients of the total loss against central differences.
 
-    Returns {param name: max relative error}. Uses a freshly generated
-    batch from the config's synthetic task unless one is supplied.
+    Returns {parameter block name: max relative error}. Uses a freshly
+    generated batch from the config's synthetic task unless a list of
+    samples is supplied.
     """
     if batch is None:
         train_set, _ = generate_dataset(config, config.seed)
         batch = train_set[:4]
+    batch = graph.Batch.of(batch)
     model = Model.init(config.d, config.n_experts, config.k, config.hidden, config.seed)
 
     tensors = graph.parameter_tensors(model)
@@ -40,10 +42,10 @@ def gradient_check(config: TrainConfig, batch=None, step: float = 1e-5):
     analytic = {name: t.grad.copy() for name, t in tensors.items()}
     frozen = {"topk_mask": aux["topk_mask"], "distill_target": aux["distill_target"]}
 
-    def loss_fn(params):
-        probe_tensors = {name: graph.ad.constant(v) for name, v in params.items()}
+    def loss_fn(blocks):
+        probe_tensors = {name: graph.ad.constant(v) for name, v in blocks.items()}
         value, _, _ = graph.batch_loss(probe_tensors, batch, config, frozen=frozen)
         return float(value.value)
 
-    numeric = finite_difference_gradient(loss_fn, model.params, step=step)
+    numeric = finite_difference_gradient(loss_fn, model.blocks, step=step)
     return {name: relative_error(analytic[name], numeric[name]) for name in analytic}

@@ -1,22 +1,75 @@
 """Batched differentiable forward pass and loss for one training step.
 
 Builds the whole routing/scoring/loss graph on the autodiff tape for a
-batch of samples. The same forward, run over constants, evaluates whole
-splits in either routing mode. Values agree with the per-sample numpy
-reference in `scoring`/`losses`; gradients are validated against the
-finite-difference oracle in `numerics`.
+`Batch`, the columnar record of a list of samples gathered once. The E
+experts are one fused tape node over the stacked expert blocks. The same
+forward, run over constants, evaluates whole splits in either routing
+mode. Values agree with the per-sample numpy reference in
+`scoring`/`losses`; gradients are validated against the finite-difference
+oracle in `numerics`.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError, MissingCueError
 from .losses import WEIGHT_CLIP, LossBreakdown
+from .model import split_blocks
 
 
-def parameter_tensors(model) -> dict:
-    return {name: ad.parameter(value) for name, value in model.params.items()}
+class Batch(NamedTuple):
+    """N samples with J options each, as arrays: `ids` (N,), `x` (N, d),
+    `text` (N, J, d), `correct` (N,), and, if the cues were gathered, the
+    `pos`/`neg` cue embeddings (N, J, d) and their `unc` uncertainty (N, J),
+    all zero where an option has no cue set. `has_cue` (N, J) marks the
+    options whose cues are present; it is all False when none were
+    gathered."""
+
+    ids: np.ndarray
+    x: np.ndarray
+    text: np.ndarray
+    correct: np.ndarray
+    has_cue: np.ndarray
+    pos: np.ndarray | None = None
+    neg: np.ndarray | None = None
+    unc: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, samples, cues: bool = True) -> "Batch":
+        """Gather a list of `Sample`s once. One concatenate is several
+        times faster than `np.stack` on many small vectors."""
+        n, n_options = len(samples), len(samples[0].options)
+        ids = np.array([s.sample_id for s in samples])
+        x = np.concatenate([s.input_emb for s in samples]).reshape(n, -1)
+        text = np.concatenate([t for s in samples for t, _ in s.options]).reshape(n, n_options, -1)
+        correct = np.array([s.correct for s in samples])
+        if not cues:
+            return cls(ids, x, text, correct, np.zeros((n, n_options), dtype=bool))
+        sets = [cs for s in samples for _, cs in s.options]
+        absent = np.zeros(x.shape[1])
+        pos = np.concatenate([absent if cs is None else cs.positive for cs in sets])
+        neg = np.concatenate([absent if cs is None else cs.negative for cs in sets])
+        return cls(ids, x, text, correct,
+                   np.array([cs is not None for cs in sets]).reshape(n, n_options),
+                   pos.reshape(text.shape), neg.reshape(text.shape),
+                   np.array([0.0 if cs is None else cs.uncertainty for cs in sets])
+                   .reshape(n, n_options))
+
+    def take(self, rows) -> "Batch":
+        """The samples at the index array `rows`."""
+        return Batch._make(None if a is None else a[rows] for a in self)
+
+
+def parameter_tensors(model, grad=None) -> dict:
+    """The model's six parameter blocks as tape parameters. Their gradients
+    are views into `grad`, one flat vector the size of `model.vector`."""
+    if grad is None:
+        grad = np.zeros_like(model.vector)
+    grads = split_blocks(grad, model.d, model.n_experts, model.hidden)
+    return {name: ad.parameter(value, grad=grads[name]) for name, value in model.blocks.items()}
 
 
 def _topk_mask(gate_values: np.ndarray, k: int) -> np.ndarray:
@@ -29,36 +82,24 @@ def _topk_mask(gate_values: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _expert_outputs(x_const, tensors, n_experts):
-    outs = []
-    for i in range(n_experts):
-        hidden = ad.tanh(ad.add(ad.matmul(x_const, tensors[f"expert{i}_w1"]),
-                                tensors[f"expert{i}_b1"]))
-        outs.append(ad.add(ad.matmul(hidden, tensors[f"expert{i}_w2"]),
-                           tensors[f"expert{i}_b2"]))
-    return outs
-
-
-def _cues(batch, correct_only=False):
+def _cue_pairs(batch, correct_only=False):
     """Positive and negative cue embeddings of every option, (B, J, d), or
     of each sample's correct option, (B, d). An absent cue set raises
-    MissingCueError. One concatenate is several times faster than
-    `np.stack` on many small vectors."""
-    sets = []
-    for s in batch:
-        for oid in [s.correct] if correct_only else range(len(s.options)):
-            if s.options[oid][1] is None:
-                raise MissingCueError(s.sample_id, oid)
-            sets.append(s.options[oid][1])
-    shape = (len(batch), -1) if correct_only else (len(batch), len(batch[0].options), -1)
-    return (np.concatenate([cs.positive for cs in sets]).reshape(shape),
-            np.concatenate([cs.negative for cs in sets]).reshape(shape))
+    MissingCueError for the first sample and option that lacks one."""
+    index = (np.arange(batch.correct.size), batch.correct) if correct_only else ...
+    present = batch.has_cue[index]
+    if not present.all():
+        row = np.argwhere(~present)[0]
+        option = batch.correct[row[0]] if correct_only else row[1]
+        raise MissingCueError(str(batch.ids[row[0]]), int(option))
+    return batch.pos[index], batch.neg[index]
 
 
 def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
-    """Routing, option gates, representations and scores for a batch of B
-    samples with J options. Returns the (B, J) scores, the (B, J, d)
-    option representations and `routing`.
+    """Routing, option gates, representations and scores for a `Batch` of
+    B samples with J options, over the six parameter block `tensors`.
+    Returns the (B, J) scores, the (B, J, d) option representations and
+    `routing`.
 
     Teacher mode is the training graph: it routes on the base logits plus
     the correct answer's cue direction and takes each option's direction
@@ -78,22 +119,20 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     if mode not in ("teacher", "student"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     frozen = frozen or {}
-    n_experts = tensors["gating"].shape[1]
     teacher = mode == "teacher"
 
     use_sa = teacher and not (config.no_sa or config.prompt_only)
     use_sj = not config.no_sj
     cue_directions = teacher and not config.prompt_only
 
-    n, n_options = len(batch), len(batch[0].options)
-    x = ad.constant(np.concatenate([s.input_emb for s in batch]).reshape(n, -1))
-    text = ad.constant(np.concatenate([t for s in batch for t, _ in s.options])
-                       .reshape(n, n_options, -1))
+    n_options = batch.text.shape[1]
+    x = ad.constant(batch.x)
+    text = ad.constant(batch.text)
 
     z_base = ad.matmul(x, tensors["gating"])
     z_route = z_base
     if use_sa:
-        correct_diff = np.subtract(*_cues(batch, correct_only=True))
+        correct_diff = np.subtract(*_cue_pairs(batch, correct_only=True))
         s_a = ad.matmul(ad.constant(correct_diff), tensors["semantic"])
         z_route = ad.add(z_base, ad.scale(s_a, config.lambda_a))
 
@@ -104,12 +143,13 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     if mask is None:
         mask = _topk_mask(g_route.value, config.k)
 
-    experts = ad.stack_cols(_expert_outputs(x, tensors, n_experts))  # (B, E, d)
+    experts = ad.experts(x, tensors["experts_w1"], tensors["experts_b1"],
+                         tensors["experts_w2"], tensors["experts_b2"])  # (B, E, d)
 
     # every option reweights the same Top-K experts with its own direction
     logits = ad.expand(z_route, n_options)  # (B, J, E)
     if use_sj:
-        direction = ad.constant(np.subtract(*_cues(batch))) if cue_directions else text
+        direction = ad.constant(np.subtract(*_cue_pairs(batch))) if cue_directions else text
         s_j = ad.matmul(direction, tensors["semantic"])
         logits = ad.add(logits, ad.scale(s_j, config.lambda_o))
     gates = ad.masked_softmax_rows(logits, np.broadcast_to(mask[:, None, :], logits.shape))
@@ -126,10 +166,10 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
 
 
 def batch_loss(tensors, batch, config, frozen=None):
-    """Total loss Tensor plus a LossBreakdown and auxiliary arrays."""
+    """Total loss Tensor plus a LossBreakdown and auxiliary arrays for a
+    `Batch` gathered with its cues."""
     frozen = frozen or {}
-    n = len(batch)
-    labels = np.array([s.correct for s in batch])
+    n = batch.correct.size
 
     use_unc = not (config.no_unc or config.prompt_only)
     use_contrast = not (config.no_contrast or config.prompt_only)
@@ -139,14 +179,12 @@ def batch_loss(tensors, batch, config, frozen=None):
     g_teacher = routing["teacher_gate"]
     g_student = routing["student_gate"]
     onehot = np.zeros(scores.shape)
-    onehot[np.arange(n), labels] = 1.0
+    onehot[np.arange(n), batch.correct] = 1.0
 
     # main loss: per-option BCE weighted by cue confidence, summed per sample
     # and averaged over the batch (the weights carry the 1/B)
     if use_unc:
-        uncs = np.array([[cs.uncertainty if cs is not None else 0.0 for _, cs in s.options]
-                         for s in batch])
-        weights = np.clip(1.0 / (1.0 + uncs), *WEIGHT_CLIP)
+        weights = np.clip(1.0 / (1.0 + batch.unc), *WEIGHT_CLIP)
     else:
         weights = np.ones(scores.shape)
     bce = ad.bce_logistic(scores, onehot, config.temperature)
@@ -154,7 +192,7 @@ def batch_loss(tensors, batch, config, frozen=None):
 
     # contrastive loss on correct vs pooled-wrong representations
     if use_contrast:
-        c_pos, c_neg = _cues(batch, correct_only=True)
+        c_pos, c_neg = _cue_pairs(batch, correct_only=True)
         h_correct = ad.mix(ad.constant(onehot), reps)
         omega = ad.masked_softmax_rows(scores, onehot == 0.0)
         h_wrong = ad.mix(omega, reps)

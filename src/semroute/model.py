@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,36 +28,48 @@ class GatingDecision:
 
 
 class Model:
-    """Parameter container. Names are stable; the trainer updates in place."""
+    """Parameter container: every parameter lives in one contiguous float64
+    `vector`, laid out as the blocks of `block_shapes`. `blocks` and the
+    per-expert `params` are views into it, so an in-place update of the
+    vector is seen through both; the names are stable."""
 
-    def __init__(self, d: int, n_experts: int, k: int, hidden: int, params: dict):
+    def __init__(self, d: int, n_experts: int, k: int, hidden: int, vector=None):
         if not 1 <= k <= n_experts:
             raise InvalidInputError(f"need 1 <= K <= E, got K={k}, E={n_experts}")
         self.d = d
         self.n_experts = n_experts
         self.k = k
         self.hidden = hidden
-        self.params = params  # name -> float64 ndarray
+        size = sum(math.prod(shape) for shape in block_shapes(d, n_experts, hidden).values())
+        if vector is None:
+            vector = np.zeros(size)
+        self.vector = np.ascontiguousarray(vector, dtype=np.float64)
+        if self.vector.shape != (size,):
+            raise ShapeError(f"parameter vector of shape {self.vector.shape}, expected ({size},)")
+        self.blocks = split_blocks(self.vector, d, n_experts, hidden)
+        (self.gating, self.semantic, self.experts_w1, self.experts_b1,
+         self.experts_w2, self.experts_b2) = self.blocks.values()
+        self.params = {"gating": self.gating, "semantic": self.semantic}
+        for i in range(n_experts):
+            self.params.update({
+                f"expert{i}_w1": self.experts_w1[i], f"expert{i}_b1": self.experts_b1[i],
+                f"expert{i}_w2": self.experts_w2[i], f"expert{i}_b2": self.experts_b2[i]})
 
     @classmethod
     def init(cls, d: int, n_experts: int, k: int, hidden: int, seed: int) -> "Model":
+        model = cls(d, n_experts, k, hidden)
         rng = seeded_rng(seed)
         scale = 1.0 / np.sqrt(d)
-        params = {
-            "gating": scale * rng.standard_normal((d, n_experts)),
-            "semantic": scale * rng.standard_normal((d, n_experts)),
-        }
+        model.gating[...] = scale * rng.standard_normal((d, n_experts))
+        model.semantic[...] = scale * rng.standard_normal((d, n_experts))
         hscale = 1.0 / np.sqrt(hidden)
-        for i in range(n_experts):
-            params[f"expert{i}_w1"] = scale * rng.standard_normal((d, hidden))
-            params[f"expert{i}_b1"] = np.zeros(hidden)
-            params[f"expert{i}_w2"] = hscale * rng.standard_normal((hidden, d))
-            params[f"expert{i}_b2"] = np.zeros(d)
-        return cls(d, n_experts, k, hidden, params)
+        for i in range(n_experts):  # biases start at zero
+            model.experts_w1[i] = scale * rng.standard_normal((d, hidden))
+            model.experts_w2[i] = hscale * rng.standard_normal((hidden, d))
+        return model
 
     def copy(self) -> "Model":
-        return Model(self.d, self.n_experts, self.k, self.hidden,
-                     {k: v.copy() for k, v in self.params.items()})
+        return Model(self.d, self.n_experts, self.k, self.hidden, self.vector.copy())
 
     # -- checkpoint -------------------------------------------------------
 
@@ -81,28 +94,39 @@ class Model:
                 name: np.asarray(flat, dtype=np.float64).reshape(payload["shapes"][name])
                 for name, flat in payload["params"].items()
             }
-            model = cls(dims["d"], dims["E"], dims["K"], dims["hidden"], params)
+            model = cls(dims["d"], dims["E"], dims["K"], dims["hidden"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed checkpoint {path}: {exc}") from exc
-        expected = param_shapes(model.d, model.n_experts, model.hidden)
+        expected = model.params
         wrong = sorted(name for name in expected.keys() | params.keys()
-                       if name not in params or params[name].shape != expected.get(name))
+                       if name not in params or name not in expected
+                       or params[name].shape != expected[name].shape)
         if wrong:
             raise DataError(f"checkpoint {path}: parameters missing, unexpected or of the "
                             f"wrong shape for its dims: {wrong}")
         bad = sorted(name for name, value in params.items() if not np.isfinite(value).all())
         if bad:
             raise DataError(f"checkpoint {path}: non-finite values in {bad}")
+        for name, value in params.items():
+            expected[name][...] = value
         return model
 
 
-def param_shapes(d: int, n_experts: int, hidden: int) -> dict:
-    """Name -> shape of every parameter of a model with these dims."""
-    shapes = {"gating": (d, n_experts), "semantic": (d, n_experts)}
-    for i in range(n_experts):
-        shapes.update({f"expert{i}_w1": (d, hidden), f"expert{i}_b1": (hidden,),
-                       f"expert{i}_w2": (hidden, d), f"expert{i}_b2": (d,)})
-    return shapes
+def block_shapes(d: int, n_experts: int, hidden: int) -> dict:
+    """Name -> shape of each parameter block, in its order in `Model.vector`."""
+    return {"gating": (d, n_experts), "semantic": (d, n_experts),
+            "experts_w1": (n_experts, d, hidden), "experts_b1": (n_experts, hidden),
+            "experts_w2": (n_experts, hidden, d), "experts_b2": (n_experts, d)}
+
+
+def split_blocks(vector: np.ndarray, d: int, n_experts: int, hidden: int) -> dict:
+    """Views of a flat vector (parameters or their gradient) as the blocks."""
+    blocks, offset = {}, 0
+    for name, shape in block_shapes(d, n_experts, hidden).items():
+        size = math.prod(shape)
+        blocks[name] = vector[offset:offset + size].reshape(shape)
+        offset += size
+    return blocks
 
 
 def config_hash(config_dict: dict) -> str:

@@ -28,8 +28,12 @@ from .scoring import score_all_options  # noqa: F401  traced by perfbench/tracin
 ABLATION_FLAGS = ("no_sa", "no_sj", "no_unc", "no_contrast", "no_distill",
                   "prompt_only", "only_variance")
 
+# Smallest magnitude of the scales that embeddings are built from.
+MIN_SCALE = 1e-100
+
 METRIC_COLUMNS = ("step", "lr", "L_main", "L_contrast", "L_distill", "L_total",
-                  "train_acc", "eval_acc_teacher", "eval_acc_student", "sim")
+                  "grad_norm", "clipped", "train_acc", "eval_acc_teacher",
+                  "eval_acc_student", "sim")
 
 
 @dataclass
@@ -86,25 +90,47 @@ class TrainConfig:
             if f.type == "int" and (isinstance(value, bool)
                                     or not isinstance(value, numbers.Integral)):
                 raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidInputError(f"{f.name} must be finite, got {value}")
         if not 1 <= self.k <= self.n_experts:
             raise InvalidInputError(f"need 1 <= K <= E, got K={self.k}, E={self.n_experts}")
         if not self.lr > self.lr_min > 0.0:
             raise InvalidInputError("need lr > lr_min > 0")
+        if self.lr * self.weight_decay >= 1.0:
+            # decoupled decay would zero or flip every weight at the peak rate
+            raise InvalidInputError("need lr * weight_decay < 1")
         if self.option_count < 2:
             raise InvalidInputError("option_count must be at least 2")
-        for name in ("d", "hidden", "eval_every", "batch", "train_size", "eval_size",
-                     "total_steps"):
+        if self.option_count > self.n_concepts:
+            raise InvalidInputError(f"option_count {self.option_count} exceeds "
+                                    f"n_concepts {self.n_concepts}")
+        if self.variant_count < 2:
+            raise InvalidInputError("variant_count must be at least 2")
+        if self.d < 2:
+            # in one dimension every unit concept centroid is +1 or -1, so
+            # distinct concepts coincide and cue differences vanish
+            raise InvalidInputError("d must be at least 2")
+        for name in ("hidden", "eval_every", "batch", "train_size", "eval_size",
+                     "total_steps", "max_regen_rounds"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be at least 1")
-        for name in ("warmup_steps", "lambda_a", "lambda_o", "lambda_c", "weight_decay",
+        for name in ("seed", "warmup_steps", "lambda_a", "lambda_o", "lambda_c", "weight_decay",
                      "input_noise", "option_noise", "cue_noise"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be non-negative")
-        for name in ("temperature", "adam_eps", "grad_clip_norm"):
+        for name in ("temperature", "adam_eps", "grad_clip_norm", "unc_threshold"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be positive")
+        # embeddings are compared by cosine, whose squared norms must not
+        # underflow to zero
+        if max(abs(self.input_scale), self.input_noise) < MIN_SCALE:
+            raise InvalidInputError(f"input_scale or input_noise must be at least "
+                                    f"{MIN_SCALE:g} in magnitude")
+        if self.cue_scale < MIN_SCALE:
+            raise InvalidInputError(f"cue_scale must be at least {MIN_SCALE:g}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise InvalidInputError(f"{name} must be in [0, 1)")
@@ -140,47 +166,62 @@ def lr_at(step: int, config: TrainConfig) -> float:
 
 
 class AdamW:
-    """Adaptive-moment optimizer with decoupled weight decay."""
+    """Adaptive-moment optimizer with decoupled weight decay over one flat
+    parameter vector of `size` entries."""
 
-    def __init__(self, param_names, shapes, config: TrainConfig):
+    def __init__(self, size: int, config: TrainConfig):
         self.config = config
         self.t = 0
-        self.m = {n: np.zeros(shapes[n]) for n in param_names}
-        self.v = {n: np.zeros(shapes[n]) for n in param_names}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, params: dict, grads: dict, lr: float):
+    def step(self, p: np.ndarray, g: np.ndarray, lr: float):
+        """Update the flat parameters `p` in place from their gradient `g`:
+        p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p), each
+        operation into a reused buffer, in the order of that formula."""
         cfg = self.config
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p -= lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * p)
+        m, v = self.m, self.v
+        a, b = self._scratch
+        m *= cfg.beta1
+        m += np.multiply(g, 1.0 - cfg.beta1, out=a)
+        v *= cfg.beta2
+        np.multiply(g, 1.0 - cfg.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += cfg.adam_eps
+        np.divide(np.divide(m, bc1, out=b), a, out=b)
+        b += np.multiply(p, cfg.weight_decay, out=a)
+        b *= lr
+        p -= b
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> float:
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def clip_global_norm(g: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient `g` in place to norm `max_norm` if its norm
+    is larger; returns the norm before clipping."""
+    total = math.sqrt(float(g @ g))
     if total > max_norm and total > 0.0:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        g *= max_norm / total
     return total
 
 
-def train_step(model: Model, batch, config: TrainConfig, step: int, optimizer: AdamW):
-    """One forward/backward/update; returns the LossBreakdown and batch scores."""
-    tensors = graph.parameter_tensors(model)
+def train_step(model: Model, batch: graph.Batch, config: TrainConfig, step: int,
+               optimizer: AdamW):
+    """One forward/backward/update of `model.vector`; returns the
+    LossBreakdown and the auxiliary arrays of `graph.batch_loss`, plus the
+    pre-clip gradient norm and whether it was clipped."""
+    grad = np.zeros_like(model.vector)
+    tensors = graph.parameter_tensors(model, grad)
     total, breakdown, aux = graph.batch_loss(tensors, batch, config)
     if not np.isfinite(total.value):
         raise DivergenceError(step, breakdown)
     total.backward()
-    grads = {name: t.grad for name, t in tensors.items()}
-    clip_global_norm(grads, config.grad_clip_norm)
-    optimizer.step(model.params, grads, lr_at(step, config))
+    aux["grad_norm"] = clip_global_norm(grad, config.grad_clip_norm)
+    aux["clipped"] = aux["grad_norm"] > config.grad_clip_norm
+    optimizer.step(model.vector, grad, lr_at(step, config))
     return breakdown, aux
 
 
@@ -206,9 +247,10 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
         raise InvalidInputError(f"model (d, E, K, hidden) = {dims} differ from the config's "
                                 f"{(config.d, config.n_experts, config.k, config.hidden)}")
     _check_dim(dataset, model.d)
-    tensors = {name: ad.constant(value) for name, value in model.params.items()}
-    scores, _, routing = graph.forward_options(tensors, dataset, config, mode=mode)
-    labels = np.array([s.correct for s in dataset])
+    # student mode never reads a cue, so it gathers none
+    batch = graph.Batch.of(dataset, cues=mode == "teacher")
+    tensors = {name: ad.constant(value) for name, value in model.blocks.items()}
+    scores, _, routing = graph.forward_options(tensors, batch, config, mode=mode)
     mask = routing["topk_mask"]
     gate = routing[f"{mode}_gate"].value
 
@@ -222,7 +264,8 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
         restricted /= restricted.sum(axis=1, keepdims=True)
         sim_mean = float(np.mean(sim_score(routing["experts"][cued], restricted, directions)))
     return {
-        "accuracy": int(np.count_nonzero(np.argmax(scores.value, axis=1) == labels)) / len(dataset),
+        "accuracy": (int(np.count_nonzero(np.argmax(scores.value, axis=1) == batch.correct))
+                     / len(dataset)),
         "sim_mean": sim_mean,
         "topk_mask": mask,
         "gate": gate,
@@ -256,8 +299,8 @@ def train(config: TrainConfig, train_set, eval_set, metrics_path=None):
     """Full training run; returns (model, list of per-step metric rows)."""
     _check_dim(train_set, config.d)
     model = Model.init(config.d, config.n_experts, config.k, config.hidden, config.seed)
-    optimizer = AdamW(model.params.keys(),
-                      {n: p.shape for n, p in model.params.items()}, config)
+    optimizer = AdamW(model.vector.size, config)
+    records = graph.Batch.of(train_set)
     batch_rng = seeded_rng(config.seed + 1)
     order = np.arange(len(train_set))
     batch_rng.shuffle(order)
@@ -269,12 +312,11 @@ def train(config: TrainConfig, train_set, eval_set, metrics_path=None):
         if cursor + config.batch > len(order):
             batch_rng.shuffle(order)
             cursor = 0
-        batch = [train_set[i] for i in order[cursor:cursor + config.batch]]
+        batch = records.take(order[cursor:cursor + config.batch])
         cursor += config.batch
 
         breakdown, aux = train_step(model, batch, config, step, optimizer)
-        labels = np.array([s.correct for s in batch])
-        train_acc = float(np.mean(np.argmax(aux["scores"], axis=1) == labels))
+        train_acc = float(np.mean(np.argmax(aux["scores"], axis=1) == batch.correct))
 
         if step % config.eval_every == 0 or step == config.total_steps - 1:
             teacher_metrics = evaluate(model, eval_set, "teacher", config)
@@ -287,6 +329,7 @@ def train(config: TrainConfig, train_set, eval_set, metrics_path=None):
             "step": step, "lr": lr_at(step, config),
             "L_main": breakdown.main, "L_contrast": breakdown.contrast,
             "L_distill": breakdown.distill, "L_total": breakdown.total,
+            "grad_norm": aux["grad_norm"], "clipped": int(aux["clipped"]),
             "train_acc": train_acc,
             "eval_acc_teacher": eval_teacher, "eval_acc_student": eval_student,
             "sim": sim,

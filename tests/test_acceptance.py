@@ -114,8 +114,8 @@ def test_criterion_4_gradient_rescaling_bound(report, rng):
     violations = 0
     for _ in range(100):
         sample = make()
-        batch = [sample]
-        tensors = graph.parameter_tensors(model)
+        batch = graph.Batch.of([sample])
+        tensors = graph.parameter_tensors(model)  # the six parameter blocks
         total, breakdown, aux = graph.batch_loss(tensors, batch, config)
         total.backward()
         main_norms = {n: np.linalg.norm(t.grad) for n, t in tensors.items()}
@@ -138,7 +138,7 @@ def test_criterion_4_gradient_rescaling_bound(report, rng):
                 violations += 1
     report(4, violations == 0,
            f"||grad main loss|| within (max weight) * sum ||grad BCE_j|| per "
-           f"tensor, 100 instances ({violations} violations)")
+           f"parameter block, 100 instances ({violations} violations)")
 
 
 def test_criterion_5_gradient_correctness(report, rng):

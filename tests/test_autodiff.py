@@ -5,6 +5,7 @@ import pytest
 
 from semroute import autodiff as ad
 from semroute.errors import InvalidInputError, ShapeError
+from semroute.gradcheck import REL_TOL, relative_error
 from semroute.numerics import finite_difference_gradient, softmax
 
 
@@ -134,6 +135,28 @@ class TestOpGradients:
             return ad.sum_all(ad.kl_rows(target, ad.softmax_rows(t["z"])))
         check_op(build, {"z": (2, 3)}, atol=1e-6)
 
+    @pytest.mark.parametrize("n_experts, hidden", [(3, 4), (1, 4), (3, 1), (1, 1)])
+    def test_experts(self, n_experts, hidden):
+        # gradient into the input and all four blocks, at the gradcheck tolerance
+        b, d = 5, 4
+        shapes = {"x": (b, d), "w1": (n_experts, d, hidden), "b1": (n_experts, hidden),
+                  "w2": (n_experts, hidden, d), "b2": (n_experts, d)}
+        rng = np.random.default_rng(n_experts * 10 + hidden)
+        values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        coeff = ad.constant(_coeff((b, n_experts, d)))
+
+        def build(t):
+            out = ad.experts(t["x"], t["w1"], t["b1"], t["w2"], t["b2"])
+            return ad.sum_all(ad.mul(ad.tanh(out), coeff))
+
+        tensors = {name: ad.parameter(v) for name, v in values.items()}
+        build(tensors).backward()
+        numeric = finite_difference_gradient(
+            lambda params: float(build({n: ad.constant(v) for n, v in params.items()}).value),
+            values)
+        for name in shapes:
+            assert relative_error(tensors[name].grad, numeric[name]) <= REL_TOL, name
+
     def test_stack_cols(self):
         check_op(lambda t: ad.sum_all(ad.tanh(ad.stack_cols([t["a"], t["b"]]))),
                  {"a": (4,), "b": (4,)})
@@ -179,6 +202,34 @@ class TestOpValues:
             ad.mix(w, ad.constant(np.ones((2, 4, 5))))
         with pytest.raises(ShapeError):
             ad.mix(w, ad.constant(np.ones((3, 3, 5))))
+
+    def test_experts_values_and_layout(self, rng):
+        x = rng.standard_normal((6, 4))
+        w1, b1 = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 2))
+        w2, b2 = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 4))
+        out = ad.experts(*map(ad.constant, (x, w1, b1, w2, b2)))
+        assert out.shape == (6, 3, 4) and out.value.flags.c_contiguous
+        for e in range(3):
+            np.testing.assert_array_equal(out.value[:, e],
+                                          np.tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e])
+
+    def test_experts_shape_guard(self):
+        x, w1, b1 = np.ones((2, 4)), np.ones((3, 4, 5)), np.ones((3, 5))
+        w2, b2 = np.ones((3, 5, 4)), np.ones((3, 4))
+        for bad in ((np.ones((2, 3)), w1, b1, w2, b2), (x, w1, b1, np.ones((3, 4, 5)), b2),
+                    (x, w1, np.ones(5), w2, b2), (x, np.ones((4, 5)), b1, w2, b2)):
+            with pytest.raises(ShapeError):
+                ad.experts(*map(ad.constant, bad))
+
+    def test_kl_rows_underflowed_q_is_infinite_loss(self):
+        # a student gate that underflowed to zero where the target is not is
+        # an infinite loss (reported as divergence), not an exception
+        q = ad.parameter(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        assert np.isinf(ad.kl_rows(np.array([[0.5, 0.5], [0.5, 0.5]]), q).value[0])
+        # where the target is zero too, the entry adds nothing to the gradient
+        q = ad.parameter(np.array([[1.0, 0.0]]))
+        ad.sum_all(ad.kl_rows(np.array([[1.0, 0.0]]), q)).backward()
+        np.testing.assert_array_equal(q.grad, [[-1.0, 0.0]])
 
     def test_matmul_shape_guard(self):
         with pytest.raises(ShapeError):

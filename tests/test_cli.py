@@ -187,6 +187,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert field in proc.stderr
 
+    @pytest.mark.parametrize("field, value", [("variant_count", 1), ("unc_threshold", 0.0),
+                                              ("max_regen_rounds", 0), ("option_count", 5),
+                                              ("cue_scale", 0.0)])
+    def test_generation_fault_is_usage_error(self, workspace, tmp_path, field, value):
+        # each used to surface from inside generate_dataset with exit 3
+        _, config, _, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config.to_dict(), field: value}))
+        proc = run_cli("gen-data", "--config", bad, "--out-dir", tmp_path / "data")
+        assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert field in proc.stderr
+        assert not (tmp_path / "data").exists()
+
     def test_ragged_eval_file_is_data_error(self, workspace, trained, tmp_path):
         _, _, config_path, data_dir = workspace
         edited = tmp_path / "data"

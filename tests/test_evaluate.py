@@ -46,8 +46,9 @@ def reference(model, samples, mode, config):
        no_sj=st.booleans(), seed=st.integers(0, 2**16))
 def test_batched_matches_per_sample(n_experts, data, n_options, mode, no_sa, no_sj, seed):
     k = data.draw(st.integers(1, n_experts - 1), label="k")
+    # n_concepts only keeps the config valid: the samples are not generated
     config = small_config(n_experts=n_experts, k=k, option_count=n_options,
-                          no_sa=no_sa, no_sj=no_sj)
+                          n_concepts=max(4, n_options), no_sa=no_sa, no_sj=no_sj)
     model = Model.init(config.d, n_experts, k, config.hidden, seed)
     make = random_sample_factory(model, np.random.default_rng(seed), n_options)
     samples = [make() for _ in range(10)]
@@ -105,7 +106,8 @@ class TestAblationSwitches:
         config, model, eval_set = split
         config = replace(config, prompt_only=True)
         metrics = evaluate(model, eval_set, "teacher", config)
-        _, _, aux = graph.batch_loss(graph.parameter_tensors(model), eval_set, config)
+        _, _, aux = graph.batch_loss(graph.parameter_tensors(model), graph.Batch.of(eval_set),
+                                     config)
         np.testing.assert_array_equal(metrics["topk_mask"], aux["topk_mask"])
         np.testing.assert_array_equal(metrics["gate"], aux["teacher_gate"])
 
@@ -134,6 +136,6 @@ class TestDiagnose:
     def test_every_expert_selected_rejected(self, split):
         config, model, eval_set = split
         full = replace(config, k=config.n_experts)
-        model = Model(model.d, model.n_experts, full.k, model.hidden, model.params)
+        model = Model(model.d, model.n_experts, full.k, model.hidden, model.vector)
         with pytest.raises(InvalidRoutingError):
             diagnose(model, eval_set, "student", full)

@@ -8,13 +8,15 @@ from dataclasses import replace
 from conftest import small_config
 from semroute import graph
 from semroute.data import Sample, generate_dataset
+from semroute.errors import MissingCueError
+from semroute.gradcheck import REL_TOL, gradient_check
 from semroute.losses import (
     contrastive_loss,
     distill_loss,
     main_loss,
     wrong_representation,
 )
-from semroute.model import Model
+from semroute.model import Model, block_shapes
 from semroute.scoring import score_all_options
 
 
@@ -29,7 +31,58 @@ def setup():
 
 def run_batch(config, model, batch, frozen=None):
     tensors = graph.parameter_tensors(model)
-    return graph.batch_loss(tensors, batch, config, frozen=frozen), tensors
+    return graph.batch_loss(tensors, graph.Batch.of(batch), config, frozen=frozen), tensors
+
+
+def strip_cues(sample, options):
+    return Sample(sample_id=sample.sample_id, input_emb=sample.input_emb,
+                  options=[(t, None if oid in options else cs)
+                           for oid, (t, cs) in enumerate(sample.options)],
+                  correct=sample.correct, category=sample.category)
+
+
+class TestBatch:
+    def test_take_equals_gathering_the_rows(self, setup):
+        _, _, samples = setup
+        rows = np.array([4, 0, 2])
+        taken = graph.Batch.of(samples).take(rows)
+        direct = graph.Batch.of([samples[i] for i in rows])
+        for name, a, b in zip(graph.Batch._fields, taken, direct):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert taken.text.shape == (3, len(samples[0].options), samples[0].input_emb.size)
+        np.testing.assert_array_equal(taken.pos[1, 2], samples[0].options[2][1].positive)
+        assert taken.unc[2, 1] == samples[2].options[1][1].uncertainty
+
+    def test_cue_free_record_holds_no_cues(self, setup):
+        _, _, samples = setup
+        batch = graph.Batch.of(samples, cues=False)
+        assert batch.pos is None and batch.neg is None and batch.unc is None
+        assert not batch.has_cue.any()
+
+    def test_absent_cue_marked_and_zero(self, setup):
+        _, _, samples = setup
+        batch = graph.Batch.of([samples[0], strip_cues(samples[1], {1})])
+        assert batch.has_cue.sum() == batch.has_cue.size - 1 and not batch.has_cue[1, 1]
+        assert not batch.pos[1, 1].any() and batch.unc[1, 1] == 0.0
+
+    @pytest.mark.parametrize("strip_correct", [False, True])
+    def test_missing_cue_names_sample_and_option(self, setup, strip_correct):
+        config, model, samples = setup
+        wrong = (samples[1].correct + 1) % len(samples[1].options)
+        stripped = [samples[0], strip_cues(samples[1], {wrong}), samples[2]]
+        expected = (samples[1].sample_id, wrong)
+        if strip_correct:
+            # the correct answer's cue direction is read before the options'
+            stripped[2] = strip_cues(samples[2], {samples[2].correct})
+            expected = (samples[2].sample_id, samples[2].correct)
+        tensors = graph.parameter_tensors(model)
+        with pytest.raises(MissingCueError) as exc:
+            graph.forward_options(tensors, graph.Batch.of(stripped), config)
+        assert (exc.value.sample_id, exc.value.option_id) == expected
+        assert type(exc.value.sample_id) is str
+        # student mode reads no cue, so a record without any serves it
+        graph.forward_options(tensors, graph.Batch.of(stripped, cues=False), config,
+                              mode="student")
 
 
 class TestParityWithPerSamplePath:
@@ -73,7 +126,7 @@ class TestParityWithPerSamplePath:
     def test_option_gates_match_masked_rows(self, setup):
         config, model, batch = setup
         tensors = graph.parameter_tensors(model)
-        scores, reps, routing = graph.forward_options(tensors, batch, config)
+        scores, reps, routing = graph.forward_options(tensors, graph.Batch.of(batch), config)
         mask = routing["topk_mask"]
         for row, sample in enumerate(batch):
             decision, sreps = score_all_options(sample, model, "teacher",
@@ -89,7 +142,7 @@ class TestSpanProperty:
     def test_representations_lie_in_selected_span(self, setup):
         config, model, batch = setup
         tensors = graph.parameter_tensors(model)
-        _, reps, routing = graph.forward_options(tensors, batch, config)
+        _, reps, routing = graph.forward_options(tensors, graph.Batch.of(batch), config)
         stacked = routing["experts"]  # (B, E, d)
         mask = routing["topk_mask"]
         for oid in range(len(batch[0].options)):
@@ -167,6 +220,39 @@ class TestGradients:
         # at least the routing parameters must receive signal
         assert np.any(tensors["gating"].grad != 0.0)
         assert np.any(tensors["semantic"].grad != 0.0)
+
+    def test_gradients_are_views_of_one_flat_vector(self, setup):
+        config, model, batch = setup
+        grad = np.zeros_like(model.vector)
+        tensors = graph.parameter_tensors(model, grad)
+        assert list(tensors) == list(block_shapes(model.d, model.n_experts, model.hidden))
+        total, _, _ = graph.batch_loss(tensors, graph.Batch.of(batch), config)
+        total.backward()
+        assert all(np.shares_memory(t.grad, grad) for t in tensors.values())
+        assert all(np.shares_memory(t.value, model.vector) for t in tensors.values())
+        np.testing.assert_array_equal(
+            grad, np.concatenate([t.grad.ravel() for t in tensors.values()]))
+
+    @pytest.mark.parametrize("n_experts", [2, 4, 8])
+    def test_tape_size_independent_of_expert_count(self, setup, n_experts):
+        # the experts are one fused node, so the tape does not grow with E
+        config, _, batch = setup
+        config = replace(config, n_experts=n_experts)
+        model = Model.init(config.d, n_experts, config.k, config.hidden, 0)
+        (total, _, _), _ = run_batch(config, model, batch)
+        seen, todo = {id(total)}, [total]
+        while todo:
+            for parent in todo.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    todo.append(parent)
+        assert len(seen) == 42
+
+    def test_gradient_check_probes_the_blocks(self, setup):
+        config, _, _ = setup
+        errors = gradient_check(config)
+        assert list(errors) == list(block_shapes(config.d, config.n_experts, config.hidden))
+        assert max(errors.values()) <= REL_TOL
 
     def test_tape_freed_without_cycle_collector(self, setup):
         # a tape with reference cycles waits for the garbage collector,

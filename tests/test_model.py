@@ -4,10 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import small_config
+from semroute.data import generate_dataset
 from semroute.errors import DataError, InvalidInputError, InvalidRoutingError, ShapeError
+from semroute.graph import Batch
 from semroute.model import (
     Model,
     base_logits,
+    block_shapes,
     config_hash,
     expert_forward,
     expert_forward_one,
@@ -18,6 +22,7 @@ from semroute.model import (
     teacher_gate,
 )
 from semroute.numerics import seeded_rng, softmax
+from semroute.trainer import AdamW, train_step
 
 
 def make_model(d=6, n_experts=4, k=2, hidden=5, seed=0):
@@ -201,6 +206,54 @@ class TestCheckpoint:
     def test_k_range_guard(self):
         with pytest.raises(InvalidInputError):
             Model.init(4, 2, 3, 4, seed=0)
+
+
+class TestFlatVector:
+    @pytest.fixture
+    def stepped(self):
+        """A model after one training step, and its flat vector before it."""
+        config = small_config()
+        train_set, _ = generate_dataset(config, config.seed)
+        model = Model.init(config.d, config.n_experts, config.k, config.hidden, 0)
+        before = model.vector.copy()
+        train_step(model, Batch.of(train_set[:8]), config, config.warmup_steps,
+                   AdamW(model.vector.size, config))
+        return model, before
+
+    def test_params_stay_live_views_after_a_step(self, stepped):
+        model, before = stepped
+        assert not np.array_equal(model.vector, before)
+        np.testing.assert_array_equal(model.params["expert3_w1"], model.experts_w1[3])
+        assert np.shares_memory(model.params["expert3_w1"], model.vector)
+        assert all(np.shares_memory(v, model.vector) for v in model.params.values())
+        assert sum(v.size for v in model.params.values()) == model.vector.size
+
+    def test_blocks_lay_out_the_vector(self):
+        model = make_model()
+        shapes = block_shapes(model.d, model.n_experts, model.hidden)
+        assert {n: b.shape for n, b in model.blocks.items()} == shapes
+        np.testing.assert_array_equal(
+            np.concatenate([b.ravel() for b in model.blocks.values()]), model.vector)
+        assert model.blocks["experts_b2"] is model.experts_b2
+
+    def test_copy_is_independent(self, stepped):
+        model, _ = stepped
+        clone = model.copy()
+        np.testing.assert_array_equal(clone.vector, model.vector)
+        clone.vector[:] = 0.0
+        assert not np.all(model.vector == 0.0) and np.all(clone.params["gating"] == 0.0)
+        assert not np.shares_memory(clone.vector, model.vector)
+
+    def test_save_load_round_trip_bit_exact(self, stepped, tmp_path):
+        model, _ = stepped
+        model.save(tmp_path / "checkpoint.json")
+        loaded = Model.load(tmp_path / "checkpoint.json")
+        np.testing.assert_array_equal(loaded.vector, model.vector)
+        assert all(np.shares_memory(v, loaded.vector) for v in loaded.params.values())
+
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(ShapeError):
+            Model(4, 2, 1, 3, np.zeros(5))
 
 
 class TestConfigHash:

@@ -9,6 +9,8 @@ import pytest
 from conftest import small_config
 from semroute.data import generate_dataset, load_dataset, save_dataset
 from semroute.errors import DataError, DivergenceError, InvalidInputError
+from semroute import graph
+from semroute.graph import Batch
 from semroute.model import Model
 from semroute.trainer import (
     METRIC_COLUMNS,
@@ -62,17 +64,35 @@ class TestSchedule:
 
 class TestClip:
     def test_large_gradient_clipped_to_unit_norm(self, rng):
-        grads = {"a": rng.standard_normal((4, 4)) * 10,
-                 "b": rng.standard_normal(7) * 10}
-        clip_global_norm(grads, 1.0)
-        post = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        assert post == pytest.approx(1.0, abs=1e-9)
+        grad = rng.standard_normal(23) * 10
+        norm = clip_global_norm(grad, 1.0)
+        assert norm > 1.0
+        assert np.linalg.norm(grad) == pytest.approx(1.0, abs=1e-9)
 
     def test_small_gradient_untouched(self):
         g = np.array([0.1, 0.2])
-        grads = {"a": g.copy()}
-        clip_global_norm(grads, 1.0)
-        np.testing.assert_array_equal(grads["a"], g)
+        grad = g.copy()
+        assert clip_global_norm(grad, 1.0) == pytest.approx(np.linalg.norm(g), rel=1e-15)
+        np.testing.assert_array_equal(grad, g)
+
+
+class TestAdamW:
+    def test_matches_the_per_element_formula(self, rng):
+        # the in-place whole-vector update is the textbook one, bit for bit
+        config = TrainConfig(weight_decay=0.05)
+        p = rng.standard_normal(50)
+        p_ref, m, v = p.copy(), np.zeros(50), np.zeros(50)
+        optimizer = AdamW(p.size, config)
+        for t in range(1, 4):
+            g = rng.standard_normal(50)
+            optimizer.step(p, g, 0.01)
+            m = config.beta1 * m + (1.0 - config.beta1) * g
+            v = config.beta2 * v + (1.0 - config.beta2) * g * g
+            m_hat = m / (1.0 - config.beta1 ** t)
+            v_hat = v / (1.0 - config.beta2 ** t)
+            p_ref -= 0.01 * (m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                             + config.weight_decay * p_ref)
+            np.testing.assert_array_equal(p, p_ref)
 
 
 class TestTrainStep:
@@ -83,21 +103,32 @@ class TestTrainStep:
         model = Model.init(config.d, config.n_experts, config.k, config.hidden,
                            config.seed)
         before = {n: p.copy() for n, p in model.params.items()}
-        optimizer = AdamW(model.params.keys(),
-                          {n: p.shape for n, p in model.params.items()}, config)
-        train_step(model, train_set[:4], config, 0, optimizer)
+        optimizer = AdamW(model.vector.size, config)
+        train_step(model, Batch.of(train_set[:4]), config, 0, optimizer)
         for name, p in model.params.items():
             np.testing.assert_array_equal(p, before[name])
+
+    @pytest.mark.parametrize("max_norm", [1e-6, 1e6])
+    def test_reports_the_pre_clip_gradient_norm(self, config, max_norm):
+        config = replace(config, grad_clip_norm=max_norm)
+        train_set, _ = generate_dataset(config, seed=config.seed)
+        batch = Batch.of(train_set[:4])
+        model = Model.init(config.d, config.n_experts, config.k, config.hidden, 0)
+        grad = np.zeros_like(model.vector)
+        total, _, _ = graph.batch_loss(graph.parameter_tensors(model, grad), batch, config)
+        total.backward()
+        _, aux = train_step(model, batch, config, 5, AdamW(model.vector.size, config))
+        assert aux["grad_norm"] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+        assert aux["clipped"] == (max_norm == 1e-6)
 
     def test_divergence_error_carries_context(self, config):
         train_set, _ = generate_dataset(config, seed=config.seed)
         model = Model.init(config.d, config.n_experts, config.k, config.hidden,
                            config.seed)
         model.params["gating"][0, 0] = np.nan
-        optimizer = AdamW(model.params.keys(),
-                          {n: p.shape for n, p in model.params.items()}, config)
+        optimizer = AdamW(model.vector.size, config)
         with pytest.raises(DivergenceError) as exc:
-            train_step(model, train_set[:4], config, 3, optimizer)
+            train_step(model, Batch.of(train_set[:4]), config, 3, optimizer)
         assert exc.value.step == 3
 
 
@@ -124,6 +155,14 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             TrainConfig(lambda_a=-0.5)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, -1e-300])
+    def test_vanishing_inputs_rejected(self, scale):
+        # zero or underflowing input embeddings have no cosine
+        with pytest.raises(InvalidInputError, match="input_scale or input_noise"):
+            TrainConfig(input_scale=scale, input_noise=0.0)
+        TrainConfig(input_scale=scale, input_noise=0.1)
+        TrainConfig(input_scale=-1.0, input_noise=0.0)
+
     @pytest.mark.parametrize("field, value", [
         ("eval_every", 0), ("batch", 0), ("train_size", 0), ("total_steps", 0),
         ("warmup_steps", -1), ("temperature", 0.0), ("temperature", -1.0),
@@ -132,6 +171,9 @@ class TestConfig:
         ("grad_clip_norm", 0.0), ("weight_decay", -0.01), ("input_noise", -1.0),
         ("option_noise", -0.3), ("cue_noise", -0.05), ("lambda_a", float("nan")),
         ("lr", float("inf")), ("d", 8.5), ("batch", True),
+        ("variant_count", 1), ("unc_threshold", 0.0), ("max_regen_rounds", 0),
+        ("option_count", 9), ("cue_scale", 0.0), ("cue_scale", 1e-200), ("d", 1),
+        ("seed", -1), ("lr", True), ("weight_decay", 1e4),
     ])
     def test_out_of_range_rejected_up_front(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
@@ -275,6 +317,16 @@ class TestTrainLoop:
         assert len(csv_rows) == config.total_steps
         assert list(csv_rows[0]) == list(METRIC_COLUMNS)
 
+    def test_gradient_norm_logged(self, run):
+        config, _, _, _, rows, metrics_path = run
+        with open(metrics_path, newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        for row, csv_row in zip(rows, csv_rows):
+            assert np.isfinite(row["grad_norm"]) and row["grad_norm"] > 0.0
+            assert row["clipped"] == int(row["grad_norm"] > config.grad_clip_norm)
+            assert float(csv_row["grad_norm"]) == row["grad_norm"]
+            assert int(csv_row["clipped"]) == row["clipped"]
+
     def test_losses_finite(self, run):
         _, _, _, _, rows, _ = run
         for row in rows:
@@ -319,7 +371,7 @@ class TestSweep:
 
 class TestMetricsCSV:
     def test_round_trip_readable(self, tmp_path):
-        rows = [dict(zip(METRIC_COLUMNS, [0, 1e-4, 1.0, -0.1, 0.2, 1.1,
+        rows = [dict(zip(METRIC_COLUMNS, [0, 1e-4, 1.0, -0.1, 0.2, 1.1, 2.5, 1,
                                           0.5, 0.4, 0.4, 0.3]))]
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, rows)
