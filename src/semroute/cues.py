@@ -11,12 +11,15 @@ import numpy as np
 
 from .errors import (
     CueFileError,
+    DegenerateVectorError,
     InsufficientVariantsError,
     InvalidInputError,
     MissingCueError,
     RegenerationFailedError,
+    ShapeError,
 )
-from .numerics import cosine
+from .numerics import cosine  # noqa: F401  traced by perfbench/tracing.py
+from .numerics import numeric_array
 
 CUE_FILE_VERSION = 1
 
@@ -49,22 +52,45 @@ class CueSet:
         return self.positive.shape[0]
 
 
-def agreement(image_emb, positive, negative) -> float:
-    """Positive-cue similarity minus negative-cue similarity, floored at 0."""
-    return max(0.0, cosine(image_emb, positive) - cosine(image_emb, negative))
+def score_cues(stacked, image_embs, only_variance: bool = False):
+    """Agreement, variance and uncertainty of n cue sets at once.
+
+    `stacked` is (n, 2+V, d): each set's positive cue, negative cue and V
+    paraphrase variants; `image_embs` is (n, d). Returns three (n,) arrays:
+    the positive-cue minus the negative-cue cosine with the image, floored
+    at 0; the unbiased sample variance of the V variant cosines; and the
+    uncertainty of the two.
+    """
+    cues = np.asarray(stacked, dtype=np.float64)
+    x = np.asarray(image_embs, dtype=np.float64)
+    if (cues.ndim != 3 or x.ndim != 2 or x.shape[1] == 0
+            or (cues.shape[0], cues.shape[2]) != x.shape):
+        raise ShapeError(f"expected (n, 2+V, d) cues and (n, d) image embeddings, "
+                         f"got {cues.shape} and {x.shape}")
+    if cues.shape[1] < 4:
+        raise InsufficientVariantsError(f"need >= 2 variants, got {cues.shape[1] - 2}")
+    if not (np.isfinite(cues).all() and np.isfinite(x).all()):
+        raise InvalidInputError("cue or image embeddings contain non-finite entries")
+    # Each dot product and squared norm is its own (1, d) @ (d, 1) matmul,
+    # which numpy computes with the same dot as a 1-D `a @ b` and as
+    # `np.linalg.norm`, so every score equals the scalar cosines' bit for bit.
+    # einsum, norm(axis=-1) and `cues @ x` sum in other orders.
+    dots = np.matmul(cues[:, :, None, :], x[:, None, :, None])[..., 0, 0]
+    norms = np.sqrt(np.matmul(cues[:, :, None, :], cues[:, :, :, None])[..., 0, 0])
+    x_norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    if not (norms.all() and x_norms.all()):
+        raise DegenerateVectorError("cosine of a zero-norm vector is undefined")
+    cos = np.clip(dots / (x_norms[:, None] * norms), -1.0, 1.0)
+    diff = cos[:, 0] - cos[:, 1]
+    agr = np.where(diff > 0.0, diff, 0.0)  # max(0.0, diff): never -0.0
+    var = np.var(cos[:, 2:], axis=1, ddof=1)
+    return agr, var, uncertainty(agr, var, only_variance=only_variance)
 
 
-def cue_variance(image_emb, variants) -> float:
-    """Unbiased sample variance of image-variant cosine similarities."""
-    if len(variants) < 2:
-        raise InsufficientVariantsError(f"need >= 2 variants, got {len(variants)}")
-    sims = np.array([cosine(image_emb, v) for v in variants])
-    return float(np.var(sims, ddof=1))
-
-
-def uncertainty(agr: float, var: float, only_variance: bool = False) -> float:
-    """Var / (1 + Agr); with `only_variance` the agreement term is dropped."""
-    if agr < 0.0 or var < 0.0:
+def uncertainty(agr, var, only_variance: bool = False):
+    """Var / (1 + Agr), elementwise; with `only_variance` the agreement
+    term is dropped."""
+    if (np.asarray(agr) < 0.0).any() or (np.asarray(var) < 0.0).any():
         raise InvalidInputError("agreement and variance must be non-negative")
     if only_variance:
         return var
@@ -73,10 +99,11 @@ def uncertainty(agr: float, var: float, only_variance: bool = False) -> float:
 
 def score_cue_set(cue_set: CueSet, image_emb, only_variance: bool = False) -> CueSet:
     """Return a copy with agreement/variance/uncertainty filled in."""
-    agr = agreement(image_emb, cue_set.positive, cue_set.negative)
-    var = cue_variance(image_emb, cue_set.variants)
-    unc = uncertainty(agr, var, only_variance=only_variance)
-    return replace(cue_set, agreement=agr, variance=var, uncertainty=unc)
+    stacked = np.stack((cue_set.positive, cue_set.negative, *cue_set.variants))
+    agr, var, unc = score_cues(stacked[None], np.asarray(image_emb, dtype=np.float64)[None],
+                               only_variance=only_variance)
+    return replace(cue_set, agreement=float(agr[0]), variance=float(var[0]),
+                   uncertainty=float(unc[0]))
 
 
 def regenerate_if_uncertain(cue_set, image_emb, threshold, generator, max_rounds=3,
@@ -122,11 +149,11 @@ def synthesize_cues(concept_centroid, distractor_centroid, noise_scale, variant_
         raise InsufficientVariantsError("variant_count must be at least 2")
     centroid = np.asarray(concept_centroid, dtype=np.float64)
     distractor = np.asarray(distractor_centroid, dtype=np.float64)
-    d = centroid.shape[0]
-    positive = centroid + noise_scale * rng.standard_normal(d)
-    negative = distractor + noise_scale * rng.standard_normal(d)
-    variants = [positive + noise_scale * rng.standard_normal(d) for _ in range(variant_count)]
-    return CueSet(positive=positive, negative=negative, variants=variants)
+    noise = rng.standard_normal((2 + variant_count, centroid.shape[0]))
+    noise *= noise_scale
+    positive = centroid + noise[0]
+    return CueSet(positive=positive, negative=distractor + noise[1],
+                  variants=[positive + row for row in noise[2:]])
 
 
 class CueTable:
@@ -188,34 +215,75 @@ def save_cue_table(table: CueTable, path):
             fh.write(json.dumps(record) + "\n")
 
 
+def _cue_record(record, dim: int):
+    """The (sample_id, option_id) key and the (2+V, dim) cue block of one
+    parsed record; raises ValueError naming the first field at fault."""
+    if not isinstance(record, dict):
+        raise ValueError("a cue record must be a JSON object")
+    for fieldname in ("sample_id", "option_id", "positive", "negative", "variants"):
+        if fieldname not in record:
+            raise ValueError(f"missing field {fieldname!r}")
+    sample_id, option_id, variants = record["sample_id"], record["option_id"], record["variants"]
+    if not isinstance(sample_id, str):
+        raise ValueError(f"sample_id must be a string, got {sample_id!r}")
+    if type(option_id) is not int or option_id < 0:
+        raise ValueError(f"option_id must be a non-negative integer, got {option_id!r}")
+    if not isinstance(variants, list) or len(variants) < 2:
+        raise ValueError("variants must be a list of at least 2 embeddings")
+    block = numeric_array([record["positive"], record["negative"], *variants])
+    if block.shape != (2 + len(variants), dim):
+        raise ValueError(f"positive, negative and every variant must be 1-D vectors of "
+                         f"dimension {dim}")
+    return (sample_id, option_id), block
+
+
 def load_cue_table(path) -> CueTable:
+    """Read a cue file. Every fault raises CueFileError naming the file and
+    line: a malformed header or record, an id of the wrong type, a repeated
+    (sample_id, option_id), and cue embeddings that are not finite, non-zero
+    1-D vectors of the header's `dim`, or fewer than 2 variants."""
+    # read line by line: the whole text would outweigh the arrays it holds
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CueFileError("cue file is empty (missing header line)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CueFileError(f"line 1: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or "dim" not in header or "version" not in header:
-        raise CueFileError("line 1: header must declare 'dim' and 'version'")
-    if header["version"] != CUE_FILE_VERSION:
-        raise CueFileError(f"unsupported cue file version {header['version']!r}")
-    table = CueTable(dim=header["dim"])
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+        header_line = fh.readline()
+        if not header_line:
+            raise CueFileError(f"{path}: cue file is empty (missing header line)")
         try:
-            record = json.loads(line)
+            header = json.loads(header_line)
         except json.JSONDecodeError as exc:
-            raise CueFileError(f"line {lineno}: invalid JSON: {exc}") from exc
-        for fieldname in ("sample_id", "option_id", "positive", "negative", "variants"):
-            if fieldname not in record:
-                raise CueFileError(f"line {lineno}: missing field {fieldname!r}")
-        cs = CueSet(
-            positive=record["positive"],
-            negative=record["negative"],
-            variants=record["variants"],
-        )
-        table.put(record["sample_id"], record["option_id"], cs)
+            raise CueFileError(f"{path} line 1: header is not valid JSON: {exc}") from exc
+        if not isinstance(header, dict) or "dim" not in header or "version" not in header:
+            raise CueFileError(f"{path} line 1: header must declare 'dim' and 'version'")
+        if header["version"] != CUE_FILE_VERSION:
+            raise CueFileError(f"{path} line 1: unsupported cue file version "
+                               f"{header['version']!r}")
+        dim = header["dim"]
+        if type(dim) is not int or dim < 1:
+            raise CueFileError(f"{path} line 1: 'dim' must be a positive integer, got {dim!r}")
+        table = CueTable(dim)
+        first_line, blocks = {}, []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                key, block = _cue_record(json.loads(line), dim)  # JSONDecodeError is a ValueError
+            except ValueError as exc:
+                raise CueFileError(f"{path} line {lineno}: {exc}") from exc
+            if key in first_line:
+                raise CueFileError(f"{path} line {lineno}: a second cue record for sample "
+                                   f"{key[0]!r}, option {key[1]} (the first is on line "
+                                   f"{first_line[key]})")
+            first_line[key] = lineno
+            blocks.append(block)
+            table.put(*key, CueSet(positive=block[0], negative=block[1],
+                                   variants=list(block[2:])))
+    # one pass over every embedding; the record at fault is looked up only
+    # on failure. A sum of squares is 0 exactly when every square is, so
+    # any summation order finds the zero norms that scoring would.
+    rows = np.concatenate(blocks) if blocks else np.zeros((0, dim))
+    if not (np.isfinite(rows).all() and np.einsum("ij,ij->i", rows, rows).all()):
+        for lineno, block in zip(first_line.values(), blocks):
+            if not np.isfinite(block).all():
+                raise CueFileError(f"{path} line {lineno}: cue embeddings must be finite")
+            if not np.einsum("ij,ij->i", block, block).all():
+                raise CueFileError(f"{path} line {lineno}: a cue embedding has zero norm")
     return table

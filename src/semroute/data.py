@@ -8,13 +8,14 @@ makes the input-to-concept map non-trivial so routing quality matters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cues import CueSet, CueTable, regenerate_if_uncertain, score_cue_set, synthesize_cues
+from .cues import CueSet, CueTable, regenerate_if_uncertain, score_cues, synthesize_cues
+from .cues import score_cue_set  # noqa: F401  traced by perfbench/tracing.py
 from .errors import DataError, InvalidInputError
-from .numerics import seeded_rng
+from .numerics import numeric_array, seeded_rng
 
 
 @dataclass
@@ -117,9 +118,11 @@ def save_dataset(samples, path):
 def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = False):
     """Load samples; if a cue table is given, attach and score its cues.
 
-    Every sample must have the same option count, and every input and
-    option embedding the same dimension: batched training and evaluation
-    stack them into arrays.
+    Every sample must have a unique string `sample_id`, a string `category`,
+    an integer `correct` index, the same option count, and input and option
+    embeddings of one dimension, that of the cue table too: batched training
+    and evaluation stack them into arrays. Every record is parsed first;
+    then all cue sets are scored in one `score_cues` call per variant count.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -129,46 +132,81 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
         count = json.loads(lines[0])["count"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} line 1: malformed header: {exc}") from exc
+    if type(count) is not int or count < 0:
+        raise DataError(f"{path} line 1: the header count must be a non-negative integer, "
+                        f"got {count!r}")
     samples = []
+    first_line = {}
+    unscored = []  # (line, sample, option id, cue set)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            input_emb = np.asarray(rec["input_emb"], dtype=np.float64)
-            texts = [np.asarray(text, dtype=np.float64) for text in rec["options"]]
-            if input_emb.ndim != 1 or any(t.shape != input_emb.shape for t in texts):
+            sample_id, correct, category = rec["sample_id"], rec["correct"], rec["category"]
+            if not (isinstance(sample_id, str) and isinstance(category, str)):
+                raise DataError(f"sample_id and category must be strings, got {sample_id!r} "
+                                f"and {category!r}")
+            if sample_id in first_line:
+                raise DataError(f"sample_id {sample_id!r} repeats line {first_line[sample_id]}")
+            if type(correct) is not int:
+                raise DataError(f"correct must be an integer option index, got {correct!r}")
+            input_emb = numeric_array(rec["input_emb"])
+            texts = numeric_array(rec["options"])
+            if input_emb.ndim != 1 or texts.ndim != 2 or texts.shape[1] != input_emb.size:
                 raise DataError("input and option embeddings must be 1-D vectors of equal length")
-            if not (np.isfinite(input_emb).all() and all(np.isfinite(t).all() for t in texts)):
+            if not (np.isfinite(input_emb).all() and np.isfinite(texts).all()):
                 raise DataError("input and option embeddings must be finite")
             if samples and (len(texts), input_emb.shape) != (len(samples[0].options),
                                                              samples[0].input_emb.shape):
                 raise DataError(f"{len(texts)} options of dimension {input_emb.size}, "
                                 f"expected {len(samples[0].options)} of dimension "
                                 f"{samples[0].input_emb.size} as in the first sample")
-            options = []
-            for oid, text in enumerate(texts):
-                cs = None
-                if cue_table is not None and (rec["sample_id"], oid) in cue_table:
-                    cs = score_cue_set(
-                        cue_table.get(rec["sample_id"], oid), input_emb,
-                        only_variance=only_variance,
-                    )
-                options.append((text, cs))
+            if cue_table is not None and input_emb.size != cue_table.dim:
+                raise DataError(f"embeddings of dimension {input_emb.size} do not match "
+                                f"the cue table's dimension {cue_table.dim}")
             samples.append(Sample(
-                sample_id=rec["sample_id"],
+                sample_id=sample_id,
                 input_emb=input_emb,
-                options=options,
-                correct=rec["correct"],
-                category=rec["category"],
+                options=[(text, None) for text in texts],
+                correct=correct,
+                category=category,
             ))
+            if cue_table is not None:
+                unscored += [(lineno, samples[-1], oid, cue_table.get(sample_id, oid))
+                             for oid in range(len(texts)) if (sample_id, oid) in cue_table]
         # ValueError includes JSON syntax errors, ragged or non-numeric
         # arrays, and the DataError raised above
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path} line {lineno}: {exc}") from exc
+        first_line[sample_id] = lineno
     if count != len(samples):
         raise DataError(f"{path}: the header counts {count} samples, the file holds {len(samples)}")
+    by_variants = {}
+    for entry in unscored:
+        by_variants.setdefault(len(entry[3].variants), []).append(entry)
+    for group in by_variants.values():
+        _score_group(path, group, only_variance)
     return samples
+
+
+def _score_group(path, group, only_variance):
+    """Score cue sets with one variant count in one call and put them into
+    their samples' options; a fault is traced back to its record's line."""
+    stacked = np.array([(cs.positive, cs.negative, *cs.variants) for *_, cs in group])
+    inputs = np.array([sample.input_emb for _, sample, _, _ in group])
+    try:
+        scores = score_cues(stacked, inputs, only_variance=only_variance)
+    except ValueError:
+        for row, (lineno, _, oid, _) in enumerate(group):
+            try:
+                score_cues(stacked[row:row + 1], inputs[row:row + 1], only_variance=only_variance)
+            except ValueError as exc:
+                raise DataError(f"{path} line {lineno}, option {oid}: {exc}") from exc
+        raise
+    for (_, sample, oid, cs), agr, var, unc in zip(group, *(a.tolist() for a in scores)):
+        text = sample.options[oid][0]
+        sample.options[oid] = (text, replace(cs, agreement=agr, variance=var, uncertainty=unc))
 
 
 def cue_table_from_samples(samples, dim: int) -> CueTable:

@@ -29,6 +29,18 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def numeric_array(value) -> np.ndarray:
+    """A float64 array from nested lists of JSON numbers; ValueError if the
+    nesting is ragged or an entry is not a number (a string or null)."""
+    try:
+        arr = np.array(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError("expected a rectangular array of numbers")
+    return arr.astype(np.float64, copy=False)
+
+
 def softmax(logits) -> np.ndarray:
     """Max-subtracted softmax; output is strictly positive and sums to 1."""
     z = as_vector(logits)

@@ -1,5 +1,6 @@
 """End-to-end command-line workflow and exit-code contract."""
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -270,6 +271,59 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_DATA, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "differ from the config" in proc.stderr
+
+    @pytest.mark.parametrize("name, line, edit", [
+        ("cues_train.jsonl", 2, lambda rec, _: rec.update(option_id="x")),
+        ("cues_train.jsonl", 2, lambda rec, _: rec.update(positive="abc")),
+        ("cues_train.jsonl", 2, lambda rec, _: rec.update(variants=None)),
+        ("cues_train.jsonl", 1, lambda rec, _: rec.update(dim="eight")),
+        # a repeated key used to overwrite the first record and surface as
+        # a missing cue of another sample
+        ("cues_train.jsonl", 3, lambda rec, prev: rec.update(sample_id=prev["sample_id"],
+                                                             option_id=prev["option_id"])),
+        # these three used to be blamed on the dataset file
+        ("cues_train.jsonl", 2,
+         lambda rec, _: rec.update(positive=[math.nan, *rec["positive"][1:]])),
+        ("cues_train.jsonl", 2, lambda rec, _: rec.update(variants=rec["variants"][:1])),
+        ("cues_train.jsonl", 2, lambda rec, _: rec.update(negative=[0.0] * len(rec["negative"]))),
+        ("train.jsonl", 2, lambda rec, _: rec.update(correct=1.0)),
+        ("train.jsonl", 2, lambda rec, _: rec.update(correct=True)),
+        ("train.jsonl", 3, lambda rec, prev: rec.update(sample_id=prev["sample_id"])),
+        ("train.jsonl", 1, lambda rec, _: rec.update(count=str(rec["count"]))),
+    ], ids=["option_id", "positive", "variants", "dim", "duplicate_cue", "nan_cue",
+            "one_variant", "zero_cue", "float_correct", "bool_correct", "duplicate_sample",
+            "string_count"])
+    def test_bad_record_is_data_error_naming_its_file(self, workspace, tmp_path, name, line,
+                                                      edit):
+        _, _, config_path, data_dir = workspace
+        edited = tmp_path / "data"
+        shutil.copytree(data_dir, edited)
+        lines = (edited / name).read_text().splitlines()
+        rec = json.loads(lines[line - 1])
+        edit(rec, json.loads(lines[line - 2]) if line > 1 else None)
+        lines[line - 1] = json.dumps(rec)
+        (edited / name).write_text("\n".join(lines) + "\n")
+        proc = run_cli("train", "--config", config_path, "--data-dir", edited,
+                       "--out-dir", tmp_path / "out")
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{edited / name} line {line}:" in proc.stderr
+
+    def test_cue_file_of_another_dimension_is_data_error(self, workspace, tmp_path):
+        _, config, config_path, data_dir = workspace
+        other = tmp_path / "d6.json"
+        other.write_text(json.dumps({**config.to_dict(), "d": 6}))
+        assert cli.main(["gen-data", "--config", str(other),
+                         "--out-dir", str(tmp_path / "d6")]) == cli.EXIT_OK
+        edited = tmp_path / "data"
+        shutil.copytree(data_dir, edited)
+        shutil.copy(tmp_path / "d6" / "cues_train.jsonl", edited / "cues_train.jsonl")
+        proc = run_cli("train", "--config", config_path, "--data-dir", edited,
+                       "--out-dir", tmp_path / "out")
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(edited / "train.jsonl") in proc.stderr
+        assert f"dimension {config.d}" in proc.stderr and "dimension 6" in proc.stderr
 
     def test_train_without_cues_under_no_sa_no_sj_is_data_error(self, workspace, tmp_path):
         # with both directions ablated only the contrastive term reads cues

@@ -1,29 +1,33 @@
 """Cue scoring, regeneration, synthesis and the cue-file format."""
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semroute.cues import (
     CueSet,
     CueTable,
-    agreement,
-    cue_variance,
     load_cue_table,
     regenerate_if_uncertain,
     save_cue_table,
     score_cue_set,
+    score_cues,
     synthesize_cues,
     uncertainty,
 )
 from semroute.errors import (
     CueFileError,
+    DegenerateVectorError,
     InsufficientVariantsError,
     InvalidInputError,
     MissingCueError,
     RegenerationFailedError,
+    ShapeError,
 )
-from semroute.numerics import seeded_rng
+from semroute.numerics import cosine, seeded_rng
 
 
 def unit_with_cos(c):
@@ -32,6 +36,23 @@ def unit_with_cos(c):
 
 
 IMAGE = np.array([1.0, 0.0])
+
+
+def agreement(image, positive, negative):
+    """Agreement of a cue set whose two variants do not affect it."""
+    return score_cue_set(CueSet(positive, negative, [positive, negative]), image).agreement
+
+
+def cue_variance(image, variants):
+    """Variance of a cue set whose positive and negative cues do not affect it."""
+    return score_cue_set(CueSet(image, image, variants), image).variance
+
+
+def scalar_scores(image, positive, negative, variants, only_variance):
+    """Reference scorer: one `numerics.cosine` per cue."""
+    agr = max(0.0, cosine(image, positive) - cosine(image, negative))
+    var = float(np.var(np.array([cosine(image, v) for v in variants]), ddof=1))
+    return agr, var, uncertainty(agr, var, only_variance=only_variance)
 
 
 class TestAgreement:
@@ -48,7 +69,8 @@ class TestAgreement:
             pytest.approx(0.5, abs=1e-12)
 
     def test_floored_at_zero(self):
-        assert agreement(IMAGE, unit_with_cos(0.2), unit_with_cos(0.9)) == 0.0
+        agr = agreement(IMAGE, unit_with_cos(0.2), unit_with_cos(0.9))
+        assert agr == 0.0 and math.copysign(1.0, agr) == 1.0
 
 
 class TestVariance:
@@ -64,6 +86,65 @@ class TestVariance:
     def test_needs_two_variants(self):
         with pytest.raises(InsufficientVariantsError):
             cue_variance(IMAGE, [unit_with_cos(0.4)])
+
+
+@st.composite
+def cue_batches(draw):
+    """n cue sets with V in 2..6 variants at d in 2..64, at a scale in
+    [1e-3, 1e3], with the images they are scored against."""
+    n, n_variants, d = draw(st.integers(1, 6)), draw(st.integers(2, 6)), draw(st.integers(2, 64))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return scale * rng.standard_normal((n, 2 + n_variants, d)), scale * rng.standard_normal((n, d))
+
+
+class TestScoreCues:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(batch=cue_batches(), only_variance=st.booleans())
+    def test_bit_identical_to_scalar_cosines(self, batch, only_variance):
+        stacked, images = batch
+        got = score_cues(stacked, images, only_variance=only_variance)
+        want = np.array([scalar_scores(x, c[0], c[1], c[2:], only_variance)
+                         for c, x in zip(stacked, images)]).T
+        for got_row, want_row in zip(got, want):
+            assert np.array_equal(got_row, want_row)
+
+    def test_one_set_call_matches_batch(self, rng):
+        stacked, images = rng.standard_normal((5, 6, 8)), rng.standard_normal((5, 8))
+        batch = score_cues(stacked, images)
+        for i in range(5):
+            one = score_cue_set(CueSet(stacked[i, 0], stacked[i, 1], list(stacked[i, 2:])),
+                                images[i])
+            assert (one.agreement, one.variance, one.uncertainty) == \
+                tuple(float(s[i]) for s in batch)
+            assert type(one.agreement) is float
+
+    @pytest.mark.parametrize("edit, error", [
+        ("short_cues", ShapeError), ("few_images", ShapeError), ("one_set", ShapeError),
+        ("one_variant", InsufficientVariantsError), ("nan_cue", InvalidInputError),
+        ("inf_image", InvalidInputError), ("zero_cue", DegenerateVectorError),
+        ("zero_image", DegenerateVectorError),
+    ])
+    def test_checks_of_the_scalar_path(self, rng, edit, error):
+        stacked, images = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4))
+        if edit == "short_cues":
+            stacked = stacked[..., :3]
+        elif edit == "few_images":
+            images = images[:2]
+        elif edit == "one_set":
+            stacked = stacked[0]
+        elif edit == "one_variant":
+            stacked = stacked[:, :3]
+        elif edit == "nan_cue":
+            stacked[1, 3, 2] = np.nan
+        elif edit == "inf_image":
+            images[2, 0] = np.inf
+        elif edit == "zero_cue":
+            stacked[1, 0] = 0.0
+        else:
+            images[1] = 0.0
+        with pytest.raises(error):
+            score_cues(stacked, images)
 
 
 class TestUncertainty:
@@ -161,7 +242,18 @@ class TestSynthesize:
         np.testing.assert_array_equal(cs.negative, distractor)
         for v in cs.variants:
             np.testing.assert_array_equal(v, centroid)
-        assert cue_variance(centroid, cs.variants) == 0.0
+        assert score_cue_set(cs, centroid).variance == 0.0
+
+    def test_block_draw_is_the_per_vector_stream(self):
+        # one (2+V, d) draw reads the same PCG64 stream as 2+V draws of d
+        centroid, distractor, noise, rng = np.ones(5), -np.ones(5), 0.3, seeded_rng(11)
+        cs = synthesize_cues(centroid, distractor, noise, 4, seeded_rng(11))
+        positive = centroid + noise * rng.standard_normal(5)
+        negative = distractor + noise * rng.standard_normal(5)
+        variants = [positive + noise * rng.standard_normal(5) for _ in range(4)]
+        np.testing.assert_array_equal(cs.positive, positive)
+        np.testing.assert_array_equal(cs.negative, negative)
+        np.testing.assert_array_equal(cs.variants, variants)
 
     def test_determinism(self):
         args = (np.ones(4), -np.ones(4), 0.3, 4)
@@ -235,3 +327,35 @@ class TestCueTable:
         path.write_text('{"dim": 2, "version": 99}\n')
         with pytest.raises(CueFileError):
             load_cue_table(path)
+
+    @pytest.mark.parametrize("line, edit, words", [
+        (1, {"dim": 8.5}, "dim"),
+        (1, {"dim": True}, "dim"),
+        (1, {"dim": 0}, "dim"),
+        (2, {"option_id": True}, "option_id"),
+        (2, {"option_id": -1}, "option_id"),
+        (2, {"sample_id": 0}, "sample_id"),
+        (2, {"positive": [1.0, "2"]}, "numbers"),
+        (2, {"positive": [1.0, 2.0, 3.0]}, "rectangular"),
+        (2, {"positive": [1.0, 0.0, 0.0], "negative": [0.0, 1.0, 0.0],
+             "variants": [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]}, "dimension 2"),
+        (2, {"negative": [[1.0, 2.0]]}, "rectangular"),
+        (2, {"variants": [[1.0, 0.0], [0.0, None]]}, "numbers"),
+        (2, {"variants": [1.0, 0.0]}, "rectangular"),
+        (2, {"positive": [[1.0, 2.0]], "negative": [[1.0, 2.0]],
+             "variants": [[[1.0, 2.0]], [[1.0, 2.0]]]}, "dimension 2"),
+        (2, {"variants": [[1.0, 0.0], [0.0, 1e-170]]}, "zero norm"),
+        (3, {"positive": [math.inf, 0.0]}, "finite"),
+        (3, {"option_id": 0}, "second cue record"),
+    ])
+    def test_bad_record_names_file_and_line(self, tmp_path, line, edit, words):
+        records = [{"dim": 2, "version": 1}] + [
+            {"sample_id": "s0", "option_id": oid, "positive": [1.0, 0.0],
+             "negative": [0.0, 1.0], "variants": [[1.0, 1.0], [1.0, -1.0]]}
+            for oid in range(2)]
+        records[line - 1].update(edit)
+        path = tmp_path / "cues.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(CueFileError, match=f"line {line}: .*{words}") as exc:
+            load_cue_table(path)
+        assert str(path) in str(exc.value)

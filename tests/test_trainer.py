@@ -267,6 +267,42 @@ class TestLoadDataset:
             load_dataset(path)
 
 
+    @pytest.mark.parametrize("line, field, value", [
+        (2, "sample_id", 7), (2, "category", 3), (1, "count", True), (1, "count", -1),
+        (2, "input_emb", ["1.5"] * 8), (2, "options", [[True] * 8] * 3),
+        (2, "options", [[0.5] * 8, [0.5] * 8, [0.5] * 7 + [None]]),
+    ])
+    def test_record_types_rejected(self, config, tmp_path, line, field, value):
+        # an int id never matches the cue table's string keys
+        samples, _ = generate_dataset(config, seed=0)
+        path = tmp_path / "train.jsonl"
+        save_dataset(samples[:1], path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"line {line}: .*({field}|numbers)"):
+            load_dataset(path)
+
+    def test_mixed_variant_counts_score_as_one_set_at_a_time(self, config, tmp_path, rng):
+        from semroute.cues import CueSet, load_cue_table, save_cue_table, score_cue_set
+        from semroute.data import cue_table_from_samples
+        samples, _ = generate_dataset(config, seed=0)
+        table = cue_table_from_samples(samples, config.d)
+        for n, (key, cs) in enumerate(sorted(table.items())):
+            variants = [cs.positive + rng.standard_normal(config.d) for _ in range(2 + n % 3)]
+            table.put(*key, CueSet(cs.positive, cs.negative, variants))
+        save_dataset(samples, tmp_path / "train.jsonl")
+        save_cue_table(table, tmp_path / "cues.jsonl")
+        loaded = load_dataset(tmp_path / "train.jsonl", load_cue_table(tmp_path / "cues.jsonl"),
+                              only_variance=True)
+        for s in loaded:
+            for oid, (_, cs) in enumerate(s.options):
+                one = score_cue_set(table.get(s.sample_id, oid), s.input_emb, only_variance=True)
+                assert (cs.agreement, cs.variance, cs.uncertainty) == \
+                    (one.agreement, one.variance, one.uncertainty)
+        assert {len(cs.variants) for s in loaded for _, cs in s.options} == {2, 3, 4}
+
+
 class TestEvaluate:
     def test_untrained_model_is_chance_level(self):
         config = TrainConfig(train_size=4, eval_size=500, seed=0)
