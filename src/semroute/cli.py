@@ -112,7 +112,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set = _load_split(data_dir, "train", config)
     eval_set = _load_split(data_dir, "eval", config)
-    checkpoint = out_dir / "checkpoint.json"
+    checkpoint = out_dir / "checkpoint.npz"
     metrics = out_dir / "metrics.csv"
     manifest = _write_manifest(out_dir, config,
                                {"checkpoint": checkpoint, "metrics": metrics})

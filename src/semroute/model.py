@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,10 @@ class GatingDecision:
     teacher_gate: np.ndarray     # softmax(teacher_logits)
     student_gate: np.ndarray     # softmax(base_logits)
     topk: tuple                  # ascending indices of the K selected experts
+
+
+CHECKPOINT_FORMAT = "semroute-checkpoint/1"
+DIM_NAMES = ("d", "E", "K", "hidden")  # the header's names of Model(d, n_experts, k, hidden)
 
 
 class Model:
@@ -74,41 +80,41 @@ class Model:
     # -- checkpoint -------------------------------------------------------
 
     def save(self, path, config_hash: str = ""):
-        payload = {
-            "dims": {"d": self.d, "E": self.n_experts, "K": self.k, "hidden": self.hidden},
-            "config_hash": config_hash,
-            "params": {k: v.ravel().tolist() for k, v in self.params.items()},
-            "shapes": {k: list(v.shape) for k, v in self.params.items()},
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        """One `np.savez` archive at exactly `path`: a JSON header and `vector`."""
+        header = {"format": CHECKPOINT_FORMAT, "config_hash": config_hash,
+                  "dims": dict(zip(DIM_NAMES, (self.d, self.n_experts, self.k, self.hidden))),
+                  "blocks": {name: list(block.shape) for name, block in self.blocks.items()}}
+        with open(path, "wb") as fh:  # a handle: given a path, np.savez appends ".npz"
+            np.savez(fh, header=np.array(json.dumps(header)), vector=self.vector)
 
     @classmethod
     def load(cls, path) -> "Model":
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            payload = json.loads(text)
-            dims = payload["dims"]
-            params = {
-                name: np.asarray(flat, dtype=np.float64).reshape(payload["shapes"][name])
-                for name, flat in payload["params"].items()
-            }
-            model = cls(dims["d"], dims["E"], dims["K"], dims["hidden"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed checkpoint {path}: {exc}") from exc
-        expected = model.params
-        wrong = sorted(name for name in expected.keys() | params.keys()
-                       if name not in params or name not in expected
-                       or params[name].shape != expected[name].shape)
-        if wrong:
-            raise DataError(f"checkpoint {path}: parameters missing, unexpected or of the "
-                            f"wrong shape for its dims: {wrong}")
-        bad = sorted(name for name, value in params.items() if not np.isfinite(value).all())
-        if bad:
-            raise DataError(f"checkpoint {path}: non-finite values in {bad}")
-        for name, value in params.items():
-            expected[name][...] = value
+        """Read a `save` archive; any fault raises `DataError` naming the path."""
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":
+                raise DataError(f"{path} is not a semroute checkpoint archive (the JSON layout "
+                                "of earlier versions is no longer read; retrain)")
+            fh.seek(0)
+            try:  # RuntimeError: a damaged zip flags encryption or an unknown compression
+                with np.load(fh, allow_pickle=False) as archive:
+                    header, vector = json.loads(str(archive["header"][()])), archive["vector"]
+            except (zipfile.BadZipFile, zlib.error, EOFError, OSError, RuntimeError, KeyError,
+                    TypeError, ValueError) as exc:
+                raise DataError(f"unreadable checkpoint archive {path}: {exc!r}") from exc
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise DataError(f"checkpoint {path}: the header's format is not {CHECKPOINT_FORMAT!r}")
+        dims = header.get("dims")
+        if not (isinstance(dims, dict) and all(type(dims.get(n)) is int for n in DIM_NAMES)
+                and min(dims[n] for n in DIM_NAMES) > 0):
+            raise DataError(f"checkpoint {path}: dims {dims!r} are not positive integers")
+        if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64):
+            raise DataError(f"checkpoint {path}: the vector is not a float64 array")
+        try:  # checks K <= E and the vector's length against the dims
+            model = cls(*(dims[n] for n in DIM_NAMES), vector)
+        except (InvalidInputError, ShapeError) as exc:
+            raise DataError(f"checkpoint {path}: {exc}") from exc
+        if not np.isfinite(model.vector).all():
+            raise DataError(f"checkpoint {path}: non-finite values in the vector")
         return model
 
 

@@ -1,4 +1,6 @@
 """Shared fixtures and helpers for the semroute test suite."""
+import json
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,18 @@ def rng():
 @pytest.fixture
 def config():
     return small_config()
+
+
+def read_archive(path):
+    """The header dict and the vector of a checkpoint archive, to edit."""
+    with np.load(path, allow_pickle=False) as archive:
+        return json.loads(str(archive["header"][()])), archive["vector"]
+
+
+def write_archive(path, header, vector):
+    """Write a checkpoint archive from (edited) members; a member given as
+    None is left out."""
+    members = {"header": None if header is None else np.array(json.dumps(header)),
+               "vector": vector}
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: v for name, v in members.items() if v is not None})

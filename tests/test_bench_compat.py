@@ -5,11 +5,13 @@ either would otherwise show only when the benchmark runs."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import small_config
 from semroute import autodiff
 from semroute.data import generate_dataset
+from semroute.model import Model
 from semroute.trainer import evaluate, train
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -22,6 +24,19 @@ def test_tracer_patches_and_restores_every_name():
     with tracing.Tracer().installed():
         assert all(getattr(autodiff, op) is not fn for op, fn in originals.items())
     assert all(getattr(autodiff, op) is fn for op, fn in originals.items())
+
+
+def test_checkpoint_saves_to_the_exact_path(tmp_path):
+    # the benchmark saves to "checkpoint.json"; np.savez given that path
+    # would write "checkpoint.json.npz" instead
+    model = Model.init(4, 3, 2, 5, seed=1)
+    path = tmp_path / "checkpoint.json"
+    model.save(path, config_hash="abc123")
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+    loaded = Model.load(path)
+    assert loaded.vector.tobytes() == model.vector.tobytes()
+    assert all(np.shares_memory(v, loaded.vector) for v in loaded.params.values())
+    assert all(np.shares_memory(b, loaded.vector) for b in loaded.blocks.values())
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import small_config
+from conftest import read_archive, small_config, write_archive
 from semroute import cli
 from semroute.errors import DivergenceError
 from semroute.losses import LossBreakdown
+from semroute.model import Model, config_hash
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -90,13 +91,14 @@ def trained(workspace):
 class TestTrainEvalDiagnose:
     def test_train_outputs(self, workspace, trained):
         _, config, _, _ = workspace
-        assert (trained / "checkpoint.json").exists()
+        assert (trained / "checkpoint.npz").exists()
         metrics = (trained / "metrics.csv").read_text().strip().splitlines()
         assert len(metrics) == config.total_steps + 1  # header + one per step
         manifest = json.loads((trained / "manifest.json").read_text())
         assert manifest["finished_at"] is not None
         assert manifest["seed"] == config.seed
         assert set(manifest["outputs"]) == {"checkpoint", "metrics"}
+        assert manifest["outputs"]["checkpoint"] == str(trained / "checkpoint.npz")
 
     def test_train_with_ablation_flag(self, workspace, tmp_path):
         root, _, config_path, data_dir = workspace
@@ -109,7 +111,7 @@ class TestTrainEvalDiagnose:
         _, _, config_path, data_dir = workspace
         out = tmp_path / "eval.csv"
         code = cli.main(["eval", "--config", str(config_path),
-                         "--checkpoint", str(trained / "checkpoint.json"),
+                         "--checkpoint", str(trained / "checkpoint.npz"),
                          "--data-dir", str(data_dir), "--mode", "student",
                          "--out", str(out)])
         assert code == cli.EXIT_OK
@@ -120,7 +122,7 @@ class TestTrainEvalDiagnose:
         _, _, config_path, data_dir = workspace
         out_dir = tmp_path / "diag"
         code = cli.main(["diagnose", "--config", str(config_path),
-                         "--checkpoint", str(trained / "checkpoint.json"),
+                         "--checkpoint", str(trained / "checkpoint.npz"),
                          "--data-dir", str(data_dir), "--out-dir", str(out_dir)])
         assert code == cli.EXIT_OK
         assert (out_dir / "diagnostics.csv").exists()
@@ -212,7 +214,7 @@ class TestExitCodes:
         lines[2] = json.dumps(rec)
         (edited / "eval.jsonl").write_text("\n".join(lines) + "\n")
         proc = run_cli("eval", "--config", config_path,
-                       "--checkpoint", trained / "checkpoint.json", "--data-dir", edited)
+                       "--checkpoint", trained / "checkpoint.npz", "--data-dir", edited)
         assert proc.returncode == cli.EXIT_DATA, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "line 3" in proc.stderr
@@ -241,22 +243,40 @@ class TestExitCodes:
         lines[2] = json.dumps(rec)
         (edited / "eval.jsonl").write_text("\n".join(lines) + "\n")
         proc = run_cli("eval", "--config", config_path,
-                       "--checkpoint", trained / "checkpoint.json", "--data-dir", edited)
+                       "--checkpoint", trained / "checkpoint.npz", "--data-dir", edited)
         assert proc.returncode == cli.EXIT_DATA, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "finite" in proc.stderr
 
     def test_checkpoint_missing_parameter_is_data_error(self, workspace, trained, tmp_path):
         _, _, config_path, data_dir = workspace
-        payload = json.loads((trained / "checkpoint.json").read_text())
-        del payload["params"]["expert0_w1"], payload["shapes"]["expert0_w1"]
-        checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text(json.dumps(payload))
+        header, vector = read_archive(trained / "checkpoint.npz")
+        checkpoint = tmp_path / "checkpoint.npz"
+        write_archive(checkpoint, header, vector[:-1])
         proc = run_cli("eval", "--config", config_path, "--checkpoint", checkpoint,
                        "--data-dir", data_dir)
         assert proc.returncode == cli.EXIT_DATA, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "expert0_w1" in proc.stderr
+        assert str(checkpoint) in proc.stderr
+        assert f"({vector.size - 1},)" in proc.stderr and f"({vector.size},)" in proc.stderr
+
+    def test_checkpoint_in_the_old_json_layout_is_data_error(self, workspace, trained,
+                                                             tmp_path):
+        # the layout of earlier versions: every parameter as a JSON list
+        _, config, config_path, data_dir = workspace
+        model = Model.load(trained / "checkpoint.npz")
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps({
+            "dims": {"d": model.d, "E": model.n_experts, "K": model.k, "hidden": model.hidden},
+            "config_hash": config_hash(config.to_dict()),
+            "params": {k: v.ravel().tolist() for k, v in model.params.items()},
+            "shapes": {k: list(v.shape) for k, v in model.params.items()}}))
+        proc = run_cli("eval", "--config", config_path, "--checkpoint", checkpoint,
+                       "--data-dir", data_dir)
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{checkpoint} is not a semroute checkpoint archive" in proc.stderr
+        assert "allow_pickle" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["eval", "diagnose"])
     def test_checkpoint_config_mismatch_is_data_error(self, workspace, trained, tmp_path,
@@ -266,7 +286,7 @@ class TestExitCodes:
         other = tmp_path / "k1.json"
         other.write_text(json.dumps({**config.to_dict(), "k": 1}))
         extra = ["--out-dir", tmp_path / "diag"] if command == "diagnose" else []
-        proc = run_cli(command, "--config", other, "--checkpoint", trained / "checkpoint.json",
+        proc = run_cli(command, "--config", other, "--checkpoint", trained / "checkpoint.npz",
                        "--data-dir", data_dir, *extra)
         assert proc.returncode == cli.EXIT_DATA, proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,14 +1,15 @@
 """Router parameters, gating functions, Top-K selection and checkpoints."""
-import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import read_archive, small_config, write_archive
 from semroute.data import generate_dataset
 from semroute.errors import DataError, InvalidInputError, InvalidRoutingError, ShapeError
 from semroute.graph import Batch
 from semroute.model import (
+    CHECKPOINT_FORMAT,
     Model,
     base_logits,
     block_shapes,
@@ -154,36 +155,39 @@ class TestRoute:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = make_model(seed=3)
-        path = tmp_path / "checkpoint.json"
+        path = tmp_path / "checkpoint.npz"
         model.save(path, config_hash="abc123")
         loaded = Model.load(path)
         assert (loaded.d, loaded.n_experts, loaded.k, loaded.hidden) == \
             (model.d, model.n_experts, model.k, model.hidden)
         for name, value in model.params.items():
             np.testing.assert_array_equal(loaded.params[name], value)
+        header, _ = read_archive(path)
+        assert header["format"] == CHECKPOINT_FORMAT and header["config_hash"] == "abc123"
+        assert header["blocks"] == {n: list(b.shape) for n, b in model.blocks.items()}
 
     @pytest.mark.parametrize("edit", ["missing", "unexpected", "shape", "nan", "dims",
                                       "not_json", "no_dims"])
     def test_inconsistent_checkpoint_rejected(self, tmp_path, edit):
-        path = tmp_path / "checkpoint.json"
+        path = tmp_path / "checkpoint.npz"
         make_model().save(path)
-        payload = json.loads(path.read_text())
-        params, shapes = payload["params"], payload["shapes"]
+        header, vector = read_archive(path)
         if edit == "missing":
-            del params["expert0_w1"], shapes["expert0_w1"]
+            vector = vector[:-1]
         elif edit == "unexpected":
-            params["bonus"], shapes["bonus"] = [1.0], [1]
+            vector = np.append(vector, 1.0)
         elif edit == "shape":
-            shapes["gating"] = shapes["gating"][::-1]
+            vector = vector.reshape(2, -1)
         elif edit == "nan":
-            params["semantic"][3] = float("nan")
+            vector[3] = np.nan
         elif edit == "dims":
-            payload["dims"]["E"] = 3
+            header["dims"]["E"] = 3
         elif edit == "no_dims":
-            del payload["dims"]
-        text = "{" if edit == "not_json" else json.dumps(payload)
-        path.write_text(text)
-        with pytest.raises(DataError):
+            del header["dims"]
+        write_archive(path, header, vector)
+        if edit == "not_json":  # not an archive at all
+            path.write_text("{")
+        with pytest.raises(DataError, match=re.escape(str(path))):
             Model.load(path)
 
     def test_copy_is_independent(self):
@@ -246,8 +250,8 @@ class TestFlatVector:
 
     def test_save_load_round_trip_bit_exact(self, stepped, tmp_path):
         model, _ = stepped
-        model.save(tmp_path / "checkpoint.json")
-        loaded = Model.load(tmp_path / "checkpoint.json")
+        model.save(tmp_path / "checkpoint.npz")
+        loaded = Model.load(tmp_path / "checkpoint.npz")
         np.testing.assert_array_equal(loaded.vector, model.vector)
         assert all(np.shares_memory(v, loaded.vector) for v in loaded.params.values())
 
