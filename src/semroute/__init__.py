@@ -5,9 +5,9 @@ routing diagnostics, exercised end to end on synthetic embedding tasks.
 
 from .cues import CueSet, CueTable
 from .data import Sample, generate_dataset
-from .losses import LossBreakdown
-from .model import GatingDecision, Model
-from .scoring import OptionRepresentation, score_all_options
+from .graph import LossBreakdown
+from .model import Model
+from .scoring import GatingDecision, OptionRepresentation, score_all_options
 from .trainer import TrainConfig, evaluate, train
 
 __all__ = [

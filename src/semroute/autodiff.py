@@ -5,12 +5,13 @@ Gradients are checked against `numerics.finite_difference_gradient` in the
 test suite; the tape is confined to one training step on one thread.
 
 Only tensors on the tape (parameters and op results with a tape parent)
-carry a `grad` buffer; constants carry `grad = None`, and a backward pass
-writes no term for them. A forward over constants alone therefore keeps
-no closures and no gradient buffers. Each backward closure receives its
-output's gradient as an argument instead of holding the output tensor, so
-the tape has no reference cycles and is freed as soon as the loss is
-dropped, without waiting for the cyclic garbage collector.
+carry a `grad`; constants carry `grad = None`, and a backward pass writes
+no term for them. An op result's buffer is made by the first gradient term
+that reaches it, so a forward keeps no gradient buffers, and one over
+constants alone no closures. Each backward closure receives its output's
+gradient as an argument instead of holding the output tensor, so the tape
+has no reference cycles and is freed as soon as the loss is dropped,
+without waiting for the cyclic garbage collector.
 """
 from __future__ import annotations
 
@@ -20,25 +21,27 @@ from .errors import InvalidInputError, ShapeError
 from .numerics import PROB_EPS, sigmoid
 
 
+# The `grad` of an op result that no term has reached. `+=` and `-=` replace
+# it with a new array, 0.0 + term or 0.0 - term: the bits a zero buffer would
+# hold. A float object of its own, so `is` tells it apart.
+NO_GRAD_YET = float(0)
+
+
 class Tensor:
-    """A value on the tape. `grad` is zero until `backward()` runs, and
-    None for a tensor that can never receive a gradient."""
+    """A value on the tape. `grad` is None if it can never receive a gradient,
+    else zero (a parameter) or NO_GRAD_YET (an op result) until `backward()`."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value) if requires_grad or parents else None
-        self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward = backward
+        self.grad = None
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):
         return self.value.shape
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.value.copy())
 
     def backward(self):
         if self.value.size != 1:
@@ -46,8 +49,8 @@ class Tensor:
         order = []
         _topological(self, set(), order)
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is not None:
+        for node in reversed(order):  # a node no gradient reached passes none on
+            if node._backward is not None and node.grad is not NO_GRAD_YET:
                 node._backward(node.grad)
 
 
@@ -71,7 +74,6 @@ def parameter(x, grad=None) -> Tensor:
     """A tape leaf that receives a gradient: into `grad`, an array of its
     shape (for example a view into one flat gradient vector), if given."""
     t = Tensor(x)
-    t.requires_grad = True
     t.grad = np.zeros_like(t.value) if grad is None else grad
     return t
 
@@ -109,7 +111,7 @@ def add(a, b) -> Tensor:
 
 def _attach(out, parents, backward):
     if _needs(*parents):
-        out.grad = np.zeros_like(out.value)
+        out.grad = NO_GRAD_YET
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -349,7 +351,7 @@ def sum_all(a) -> Tensor:
     out = Tensor(a.value.sum())
 
     def backward(g):
-        a.grad += g  # broadcasts the scalar
+        a.grad += np.broadcast_to(g, a.value.shape)
 
     return _attach(out, (a,), backward)
 
@@ -360,6 +362,6 @@ def mean_all(a) -> Tensor:
     out = Tensor(a.value.mean())
 
     def backward(g):
-        a.grad += g / n
+        a.grad += np.broadcast_to(g / n, a.value.shape)
 
     return _attach(out, (a,), backward)

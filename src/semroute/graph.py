@@ -4,20 +4,30 @@ Builds the whole routing/scoring/loss graph on the autodiff tape for a
 `Batch`, the columnar record of a list of samples gathered once. The E
 experts are one fused tape node over the stacked expert blocks. The same
 forward, run over constants, evaluates whole splits in either routing
-mode. Values agree with the per-sample numpy reference in
-`scoring`/`losses`; gradients are validated against the finite-difference
-oracle in `numerics`.
+mode. Values agree with the per-sample reference in `scoring`; gradients
+are validated against the finite-difference oracle in `numerics`.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError, MissingCueError
-from .losses import WEIGHT_CLIP, LossBreakdown
 from .model import split_blocks
+
+WEIGHT_CLIP = (0.1, 1.0)  # per-option weight range after clipping
+
+
+@dataclass
+class LossBreakdown:
+    main: float
+    contrast: float
+    distill: float
+    total: float
+    option_weights: list
 
 
 class Batch(NamedTuple):
@@ -203,10 +213,10 @@ def batch_loss(tensors, batch, config, frozen=None):
         loss_contrast = ad.constant(0.0)
 
     # distillation: teacher distribution is a constant target
+    target = frozen.get("distill_target")
+    if target is None:
+        target = g_teacher.value.copy()
     if use_distill:
-        target = frozen.get("distill_target")
-        if target is None:
-            target = g_teacher.value.copy()
         loss_distill = ad.mean_all(ad.kl_rows(target, g_student))
     else:
         loss_distill = ad.constant(0.0)
@@ -224,6 +234,6 @@ def batch_loss(tensors, batch, config, frozen=None):
         "topk_mask": routing["topk_mask"],
         "teacher_gate": g_teacher.value,
         "student_gate": g_student.value,
-        "distill_target": frozen.get("distill_target", g_teacher.value.copy()),
+        "distill_target": target,
     }
     return total, breakdown, aux

@@ -21,9 +21,8 @@ from .diagnostics import (
 )
 from .errors import DataError, DivergenceError, InvalidInputError
 from .model import Model
-from .model import expert_forward  # noqa: F401  traced by perfbench/tracing.py
 from .numerics import seeded_rng
-from .scoring import score_all_options  # noqa: F401  traced by perfbench/tracing.py
+from .scoring import expert_forward, score_all_options  # noqa: F401 traced by perfbench/tracing.py
 
 ABLATION_FLAGS = ("no_sa", "no_sj", "no_unc", "no_contrast", "no_distill",
                   "prompt_only", "only_variance")

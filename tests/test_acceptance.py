@@ -15,8 +15,8 @@ from semroute.autodiff import bce_logistic, constant, mul, sum_all
 from semroute.cues import uncertainty
 from semroute.data import generate_dataset
 from semroute.gradcheck import REL_TOL, gradient_check
-from semroute.model import Model, student_gate, teacher_gate
-from semroute.scoring import option_gate, score_all_options
+from semroute.model import Model
+from semroute.scoring import option_gate, score_all_options, student_gate, teacher_gate
 from semroute.trainer import TrainConfig, diagnose, train
 
 FULL_ABLATION = dict(no_sa=True, no_sj=True, no_unc=True, no_contrast=True,

@@ -40,12 +40,7 @@ class TestTensorBasics:
         p = ad.parameter(np.array([3.0]))
         ad.sum_all(ad.mul(c, p)).backward()
         assert p.grad[0] == 2.0
-        assert not c.requires_grad
-
-    def test_detach_stops_flow(self):
-        p = ad.parameter(np.array([3.0]))
-        ad.sum_all(ad.mul(p.detach(), p)).backward()
-        assert p.grad[0] == 3.0  # only the live branch contributes
+        assert c.grad is None
 
     def test_grad_accumulates_over_reuse(self):
         p = ad.parameter(np.array([1.5]))
@@ -58,6 +53,16 @@ class TestTensorBasics:
         out = ad.tanh(ad.matmul(c, w))
         assert c.grad is None and out.grad is None
         assert out._parents == () and out._backward is None
+
+    def test_op_results_get_a_gradient_buffer_from_backward(self):
+        p = ad.parameter(np.array([1.0, 2.0]))
+        mid = ad.scale(p, 3.0)
+        diff = ad.sub(mid, ad.mul(mid, mid))
+        assert mid.grad is ad.NO_GRAD_YET and diff.grad is ad.NO_GRAD_YET
+        ad.sum_all(diff).backward()
+        np.testing.assert_array_equal(diff.grad, [1.0, 1.0])  # full shape, not a scalar
+        np.testing.assert_array_equal(mid.grad, [1.0 - 2 * 3.0, 1.0 - 2 * 6.0])
+        np.testing.assert_array_equal(p.grad, 3.0 * mid.grad)
 
     def test_backward_skips_constant_operands(self):
         c = ad.constant(np.array([[1.0, 2.0]]))

@@ -21,9 +21,15 @@ import tracing  # noqa: E402
 
 def test_tracer_patches_and_restores_every_name():
     originals = {op: getattr(autodiff, op) for op in tracing.TAPE_OPS}
+    named = [(owner, attr) for owner, attr, _ in tracing.SPANS + tracing.COUNTED]
+    named_originals = [vars(owner)[attr] for owner, attr in named]
     with tracing.Tracer().installed():
         assert all(getattr(autodiff, op) is not fn for op, fn in originals.items())
+        for (owner, attr), fn in zip(named, named_originals):
+            assert vars(owner)[attr] is not fn, f"{owner.__name__}.{attr} not replaced"
     assert all(getattr(autodiff, op) is fn for op, fn in originals.items())
+    for (owner, attr), fn in zip(named, named_originals):
+        assert vars(owner)[attr] is fn, f"{owner.__name__}.{attr} not restored"
 
 
 def test_checkpoint_saves_to_the_exact_path(tmp_path):

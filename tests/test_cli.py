@@ -12,7 +12,7 @@ import pytest
 from conftest import read_archive, small_config, write_archive
 from semroute import cli
 from semroute.errors import DivergenceError
-from semroute.losses import LossBreakdown
+from semroute.graph import LossBreakdown
 from semroute.model import Model, config_hash
 
 

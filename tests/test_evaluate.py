@@ -12,9 +12,9 @@ from conftest import random_sample_factory, small_config
 from semroute import graph
 from semroute.data import Sample, generate_dataset, load_dataset, save_dataset
 from semroute.errors import InvalidRoutingError, MissingCueError
-from semroute.model import Model, expert_forward
+from semroute.model import Model
 from semroute.numerics import cosine
-from semroute.scoring import predict, score_all_options
+from semroute.scoring import expert_forward, predict, score_all_options
 from semroute.trainer import diagnose, evaluate
 
 

@@ -10,14 +10,14 @@ from semroute import graph
 from semroute.data import Sample, generate_dataset
 from semroute.errors import MissingCueError
 from semroute.gradcheck import REL_TOL, gradient_check
-from semroute.losses import (
+from semroute.model import Model, block_shapes
+from semroute.scoring import (
     contrastive_loss,
     distill_loss,
     main_loss,
+    score_all_options,
     wrong_representation,
 )
-from semroute.model import Model, block_shapes
-from semroute.scoring import score_all_options
 
 
 @pytest.fixture(scope="module")

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from semroute.errors import InvalidInputError
-from semroute.losses import (
-    WEIGHT_CLIP,
+from semroute.graph import WEIGHT_CLIP
+from semroute.numerics import binary_cross_entropy, softmax
+from semroute.scoring import (
     contrastive_loss,
     distill_loss,
     main_loss,
     option_weight,
-    total_loss,
     wrong_representation,
 )
-from semroute.numerics import binary_cross_entropy, softmax
 
 
 class TestOptionWeight:
@@ -111,9 +110,3 @@ class TestDistill:
 
     def test_positive_otherwise(self):
         assert distill_loss(softmax([1, 0]), softmax([0, 1])) > 0.0
-
-
-class TestTotal:
-    def test_arithmetic(self):
-        assert total_loss(0.0, 0.0, 0.0) == 0.0
-        assert total_loss(1.0, -0.3, 0.2) == pytest.approx(0.9, abs=1e-15)

@@ -8,12 +8,10 @@ from conftest import read_archive, small_config, write_archive
 from semroute.data import generate_dataset
 from semroute.errors import DataError, InvalidInputError, InvalidRoutingError, ShapeError
 from semroute.graph import Batch
-from semroute.model import (
-    CHECKPOINT_FORMAT,
-    Model,
+from semroute.model import CHECKPOINT_FORMAT, Model, block_shapes, config_hash
+from semroute.numerics import seeded_rng, softmax
+from semroute.scoring import (
     base_logits,
-    block_shapes,
-    config_hash,
     expert_forward,
     expert_forward_one,
     route,
@@ -22,7 +20,6 @@ from semroute.model import (
     student_gate,
     teacher_gate,
 )
-from semroute.numerics import seeded_rng, softmax
 from semroute.trainer import AdamW, train_step
 
 

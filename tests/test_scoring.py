@@ -102,7 +102,7 @@ class TestScoreAndPredict:
 
 class TestScoreAllOptions:
     def test_topk_shared_across_options(self, model):
-        from semroute.model import select_topk
+        from semroute.scoring import select_topk
         rng = seeded_rng(1)
         for _ in range(20):
             sample = make_sample(model, rng)
