@@ -4,9 +4,9 @@ Only the operations the routing/loss graph actually needs are provided.
 Gradients are checked against `numerics.finite_difference_gradient` in the
 test suite; the tape is confined to one training step on one thread.
 
-Only tensors on the tape (parameters and op results with a tape parent)
-carry a `grad`; constants carry `grad = None`, and a backward pass writes
-no term for them. An op result's buffer is made by the first gradient term
+Only parameters and op results that depend on one carry a `grad` and are
+on the tape; operands given as plain arrays (or `constant`s) never become
+tape parents. An op result's buffer is made by the first gradient term
 that reaches it, so a forward keeps no gradient buffers, and one over
 constants alone no closures. Each backward closure receives its output's
 gradient as an argument instead of holding the output tensor, so the tape
@@ -28,7 +28,7 @@ NO_GRAD_YET = float(0)
 
 
 class Tensor:
-    """A value on the tape. `grad` is None if it can never receive a gradient,
+    """A value in the graph. `grad` is None if it can never receive a gradient,
     else zero (a parameter) or NO_GRAD_YET (an op result) until `backward()`."""
 
     __slots__ = ("value", "grad", "_parents", "_backward")
@@ -82,10 +82,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs(*tensors):
-    return any(t.grad is not None for t in tensors)
-
-
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     while grad.ndim > len(shape):
@@ -109,10 +105,11 @@ def add(a, b) -> Tensor:
     return _attach(out, (a, b), backward)
 
 
-def _attach(out, parents, backward):
-    if _needs(*parents):
+def _attach(out, operands, backward):
+    parents = tuple(t for t in operands if t.grad is not None)
+    if parents:
         out.grad = NO_GRAD_YET
-        out._parents = tuple(parents)
+        out._parents = parents
         out._backward = backward
     return out
 
@@ -183,15 +180,7 @@ def tanh(a) -> Tensor:
 def softmax_rows(z) -> Tensor:
     """Row-wise max-subtracted softmax over the last axis."""
     z = _as_tensor(z)
-    e = np.exp(z.value - z.value.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        z.grad += y * (g - inner)
-
-    return _attach(out, (z,), backward)
+    return _softmax(z, z.value)
 
 
 def masked_softmax_rows(z, mask) -> Tensor:
@@ -202,8 +191,12 @@ def masked_softmax_rows(z, mask) -> Tensor:
         raise ShapeError("mask shape must match logits")
     if not mask.any(axis=-1).all():
         raise InvalidInputError("every row needs at least one unmasked entry")
-    neg = np.where(mask, z.value, -np.inf)
-    e = np.exp(neg - neg.max(axis=-1, keepdims=True))
+    return _softmax(z, np.where(mask, z.value, -np.inf))
+
+
+def _softmax(z, logits):
+    """Softmax of z's `logits`, masked entries at -inf; gradient flows to z."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
@@ -270,10 +263,10 @@ def bce_logistic(scores, labels, temperature: float) -> Tensor:
 
 
 def kl_rows(p, q) -> Tensor:
-    """Row-wise KL(p || q); p is a constant target, grad flows to q only.
+    """Row-wise KL(p || q); p is the target array, and grad flows to q only.
     Where q has underflowed to zero and p has not, the KL is infinite: a
     non-finite loss, which training reports as divergence."""
-    p = np.asarray(p.value if isinstance(p, Tensor) else p, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     q = _as_tensor(q)
     if np.any(q.value < 0.0):
         raise InvalidInputError("q must be non-negative")
@@ -309,8 +302,6 @@ def experts(x, w1, b1, w2, b2) -> Tensor:
             b2.grad += g.sum(axis=1)
         if w2.grad is not None:
             w2.grad += np.swapaxes(hidden, 1, 2) @ g
-        if not _needs(x, w1, b1):
-            return
         g_pre = (g @ np.swapaxes(w2.value, 1, 2)) * (1.0 - hidden * hidden)  # (E, B, h)
         if b1.grad is not None:
             b1.grad += g_pre.sum(axis=1)

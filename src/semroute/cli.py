@@ -33,16 +33,16 @@ def _load_config(path, seed=None, ablate=None) -> TrainConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     try:
         config = TrainConfig.from_dict(raw)
-    except (DataError, SemrouteError, TypeError) as exc:
+        if seed is not None:
+            config = TrainConfig.from_dict({**config.to_dict(), "seed": seed})
+        if ablate:
+            config = config.with_ablations([a.strip() for a in ablate.split(",") if a.strip()])
+    except (SemrouteError, TypeError) as exc:
         raise UsageError(f"bad config {path}: {exc}") from exc
-    if seed is not None:
-        config = TrainConfig.from_dict({**config.to_dict(), "seed": seed})
-    if ablate:
-        config = config.with_ablations([a.strip() for a in ablate.split(",") if a.strip()])
     return config
 
 
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DataError, SemrouteError, OSError) as exc:
+    except (SemrouteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

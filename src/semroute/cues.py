@@ -242,14 +242,15 @@ def load_cue_table(path) -> CueTable:
     line: a malformed header or record, an id of the wrong type, a repeated
     (sample_id, option_id), and cue embeddings that are not finite, non-zero
     1-D vectors of the header's `dim`, or fewer than 2 variants."""
-    # read line by line: the whole text would outweigh the arrays it holds
-    with open(path, "r", encoding="utf-8") as fh:
+    # read line by line: the whole text would outweigh the arrays it holds.
+    # Each line is decoded in its try, so bytes that are not UTF-8 name it.
+    with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
             raise CueFileError(f"{path}: cue file is empty (missing header line)")
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+            header = json.loads(header_line.decode("utf-8"))
+        except ValueError as exc:
             raise CueFileError(f"{path} line 1: header is not valid JSON: {exc}") from exc
         if not isinstance(header, dict) or "dim" not in header or "version" not in header:
             raise CueFileError(f"{path} line 1: header must declare 'dim' and 'version'")
@@ -265,7 +266,7 @@ def load_cue_table(path) -> CueTable:
             if not line.strip():
                 continue
             try:
-                key, block = _cue_record(json.loads(line), dim)  # JSONDecodeError is a ValueError
+                key, block = _cue_record(json.loads(line.decode("utf-8")), dim)
             except ValueError as exc:
                 raise CueFileError(f"{path} line {lineno}: {exc}") from exc
             if key in first_line:

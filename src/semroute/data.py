@@ -124,12 +124,13 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
     and evaluation stack them into arrays. Every record is parsed first;
     then all cue sets are scored in one `score_cues` call per variant count.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # each line is decoded in a try below, so bytes that are not UTF-8 name a line
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataError(f"dataset file {path} is empty")
     try:
-        count = json.loads(lines[0])["count"]
+        count = json.loads(lines[0].decode("utf-8"))["count"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} line 1: malformed header: {exc}") from exc
     if type(count) is not int or count < 0:
@@ -142,7 +143,7 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = json.loads(line.decode("utf-8"))
             sample_id, correct, category = rec["sample_id"], rec["correct"], rec["category"]
             if not (isinstance(sample_id, str) and isinstance(category, str)):
                 raise DataError(f"sample_id and category must be strings, got {sample_id!r} "

@@ -43,8 +43,7 @@ def gradient_check(config: TrainConfig, batch=None, step: float = 1e-5):
     frozen = {"topk_mask": aux["topk_mask"], "distill_target": aux["distill_target"]}
 
     def loss_fn(blocks):
-        probe_tensors = {name: graph.ad.constant(v) for name, v in blocks.items()}
-        value, _, _ = graph.batch_loss(probe_tensors, batch, config, frozen=frozen)
+        value, _, _ = graph.batch_loss(blocks, batch, config, frozen=frozen)
         return float(value.value)
 
     numeric = finite_difference_gradient(loss_fn, model.blocks, step=step)

@@ -3,9 +3,9 @@
 Builds the whole routing/scoring/loss graph on the autodiff tape for a
 `Batch`, the columnar record of a list of samples gathered once. The E
 experts are one fused tape node over the stacked expert blocks. The same
-forward, run over constants, evaluates whole splits in either routing
-mode. Values agree with the per-sample reference in `scoring`; gradients
-are validated against the finite-difference oracle in `numerics`.
+forward, run over plain parameter arrays, evaluates whole splits in either
+routing mode. Values agree with the per-sample reference in `scoring`;
+gradients are validated against the finite-difference oracle in `numerics`.
 """
 from __future__ import annotations
 
@@ -107,24 +107,24 @@ def _cue_pairs(batch, correct_only=False):
 
 def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     """Routing, option gates, representations and scores for a `Batch` of
-    B samples with J options, over the six parameter block `tensors`.
-    Returns the (B, J) scores, the (B, J, d) option representations and
-    `routing`.
+    B samples with J options, over the six parameter blocks `tensors`
+    (tape parameters or plain arrays). Returns the (B, J) scores, the
+    (B, J, d) option representations and `routing`.
 
     Teacher mode is the training graph: it routes on the base logits plus
     the correct answer's cue direction and takes each option's direction
     from its cue difference. Student mode is cue-free inference: it routes
     on the base logits and takes each option's direction from its text
     embedding; it never reads a cue. The ablation flags of `config` act
-    here and in `batch_loss` only. Over `ad.constant` parameters nothing
-    is put on the tape.
+    here and in `batch_loss` only. Over plain arrays nothing is put on the
+    tape.
 
     `routing` holds the (B, E) Top-K mask, the teacher and student gates
-    (the same tensor in student mode) and the (B, E, d) stacked expert
-    outputs. `frozen` optionally pins {"topk_mask", "distill_target"} so a
-    finite-difference probe differentiates the same function the analytic
-    backward pass sees (Top-K selection is discrete; the distillation
-    target is a constant within a step by definition).
+    (the same tensor when routing is unguided) and the (B, E, d) stacked
+    expert outputs. `frozen` optionally pins {"topk_mask", "distill_target"}
+    so a finite-difference probe differentiates the same function the
+    analytic backward pass sees (Top-K selection is discrete; the
+    distillation target is a constant within a step by definition).
     """
     if mode not in ("teacher", "student"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -135,19 +135,18 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     use_sj = not config.no_sj
     cue_directions = teacher and not config.prompt_only
 
-    n_options = batch.text.shape[1]
-    x = ad.constant(batch.x)
-    text = ad.constant(batch.text)
+    x, text = batch.x, batch.text
+    n_options = text.shape[1]
 
     z_base = ad.matmul(x, tensors["gating"])
     z_route = z_base
     if use_sa:
         correct_diff = np.subtract(*_cue_pairs(batch, correct_only=True))
-        s_a = ad.matmul(ad.constant(correct_diff), tensors["semantic"])
+        s_a = ad.matmul(correct_diff, tensors["semantic"])
         z_route = ad.add(z_base, ad.scale(s_a, config.lambda_a))
 
     g_route = ad.softmax_rows(z_route)
-    g_student = ad.softmax_rows(z_base) if teacher else g_route
+    g_student = ad.softmax_rows(z_base) if use_sa else g_route
 
     mask = frozen.get("topk_mask")
     if mask is None:
@@ -159,7 +158,7 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     # every option reweights the same Top-K experts with its own direction
     logits = ad.expand(z_route, n_options)  # (B, J, E)
     if use_sj:
-        direction = ad.constant(np.subtract(*_cue_pairs(batch))) if cue_directions else text
+        direction = np.subtract(*_cue_pairs(batch)) if cue_directions else text
         s_j = ad.matmul(direction, tensors["semantic"])
         logits = ad.add(logits, ad.scale(s_j, config.lambda_o))
     gates = ad.masked_softmax_rows(logits, np.broadcast_to(mask[:, None, :], logits.shape))
@@ -198,34 +197,32 @@ def batch_loss(tensors, batch, config, frozen=None):
     else:
         weights = np.ones(scores.shape)
     bce = ad.bce_logistic(scores, onehot, config.temperature)
-    loss_main = ad.sum_all(ad.mul(bce, ad.constant(weights / n)))
+    loss_main = ad.sum_all(ad.mul(bce, weights / n))
+    total = loss_main
+    contrast = distill = 0.0
 
     # contrastive loss on correct vs pooled-wrong representations
     if use_contrast:
         c_pos, c_neg = _cue_pairs(batch, correct_only=True)
-        h_correct = ad.mix(ad.constant(onehot), reps)
+        h_correct = ad.mix(onehot, reps)
         omega = ad.masked_softmax_rows(scores, onehot == 0.0)
         h_wrong = ad.mix(omega, reps)
-        margin = ad.sub(ad.cosine_rows(h_correct, ad.constant(c_pos)),
-                        ad.cosine_rows(h_wrong, ad.constant(c_neg)))
+        margin = ad.sub(ad.cosine_rows(h_correct, c_pos), ad.cosine_rows(h_wrong, c_neg))
         loss_contrast = ad.mean_all(ad.scale(margin, -config.lambda_c))
-    else:
-        loss_contrast = ad.constant(0.0)
+        total = ad.add(total, loss_contrast)
+        contrast = float(loss_contrast.value)
 
     # distillation: teacher distribution is a constant target
-    target = frozen.get("distill_target")
-    if target is None:
-        target = g_teacher.value.copy()
+    target = frozen.get("distill_target", g_teacher.value)
     if use_distill:
         loss_distill = ad.mean_all(ad.kl_rows(target, g_student))
-    else:
-        loss_distill = ad.constant(0.0)
+        total = ad.add(total, loss_distill)
+        distill = float(loss_distill.value)
 
-    total = ad.add(ad.add(loss_main, loss_contrast), loss_distill)
     breakdown = LossBreakdown(
         main=float(loss_main.value),
-        contrast=float(loss_contrast.value),
-        distill=float(loss_distill.value),
+        contrast=contrast,
+        distill=distill,
         total=float(total.value),
         option_weights=weights.tolist(),
     )

@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import graph
 from .data import generate_dataset
 from .diagnostics import (
@@ -248,8 +247,7 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
     _check_dim(dataset, model.d)
     # student mode never reads a cue, so it gathers none
     batch = graph.Batch.of(dataset, cues=mode == "teacher")
-    tensors = {name: ad.constant(value) for name, value in model.blocks.items()}
-    scores, _, routing = graph.forward_options(tensors, batch, config, mode=mode)
+    scores, _, routing = graph.forward_options(model.blocks, batch, config, mode=mode)
     mask = routing["topk_mask"]
     gate = routing[f"{mode}_gate"].value
 
@@ -307,34 +305,36 @@ def train(config: TrainConfig, train_set, eval_set, metrics_path=None):
 
     eval_teacher = eval_student = sim = float("nan")
     rows = []
-    for step in range(config.total_steps):
-        if cursor + config.batch > len(order):
-            batch_rng.shuffle(order)
-            cursor = 0
-        batch = records.take(order[cursor:cursor + config.batch])
-        cursor += config.batch
+    try:
+        for step in range(config.total_steps):
+            if cursor + config.batch > len(order):
+                batch_rng.shuffle(order)
+                cursor = 0
+            batch = records.take(order[cursor:cursor + config.batch])
+            cursor += config.batch
 
-        breakdown, aux = train_step(model, batch, config, step, optimizer)
-        train_acc = float(np.mean(np.argmax(aux["scores"], axis=1) == batch.correct))
+            breakdown, aux = train_step(model, batch, config, step, optimizer)
+            train_acc = float(np.mean(np.argmax(aux["scores"], axis=1) == batch.correct))
 
-        if step % config.eval_every == 0 or step == config.total_steps - 1:
-            teacher_metrics = evaluate(model, eval_set, "teacher", config)
-            student_metrics = evaluate(model, eval_set, "student", config)
-            eval_teacher = teacher_metrics["accuracy"]
-            eval_student = student_metrics["accuracy"]
-            sim = student_metrics["sim_mean"]
+            if step % config.eval_every == 0 or step == config.total_steps - 1:
+                teacher_metrics = evaluate(model, eval_set, "teacher", config)
+                student_metrics = evaluate(model, eval_set, "student", config)
+                eval_teacher = teacher_metrics["accuracy"]
+                eval_student = student_metrics["accuracy"]
+                sim = student_metrics["sim_mean"]
 
-        rows.append({
-            "step": step, "lr": lr_at(step, config),
-            "L_main": breakdown.main, "L_contrast": breakdown.contrast,
-            "L_distill": breakdown.distill, "L_total": breakdown.total,
-            "grad_norm": aux["grad_norm"], "clipped": int(aux["clipped"]),
-            "train_acc": train_acc,
-            "eval_acc_teacher": eval_teacher, "eval_acc_student": eval_student,
-            "sim": sim,
-        })
-    if metrics_path is not None:
-        write_metrics_csv(metrics_path, rows)
+            rows.append({
+                "step": step, "lr": lr_at(step, config),
+                "L_main": breakdown.main, "L_contrast": breakdown.contrast,
+                "L_distill": breakdown.distill, "L_total": breakdown.total,
+                "grad_norm": aux["grad_norm"], "clipped": int(aux["clipped"]),
+                "train_acc": train_acc,
+                "eval_acc_teacher": eval_teacher, "eval_acc_student": eval_student,
+                "sim": sim,
+            })
+    finally:  # keep the finished steps' rows when a step diverges
+        if metrics_path is not None:
+            write_metrics_csv(metrics_path, rows)
     return model, rows
 
 

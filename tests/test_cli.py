@@ -169,6 +169,27 @@ class TestExitCodes:
                          str(tmp_path / "missing.json")]) == cli.EXIT_USAGE
         capsys.readouterr()
 
+    def test_config_that_is_not_utf8_is_usage_error(self, workspace, tmp_path, capsys):
+        _, _, config_path, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(config_path.read_bytes().replace(b'"d"', b'"\xff"', 1))
+        assert cli.main(["gradcheck", "--config", str(bad)]) == cli.EXIT_USAGE
+        assert f"cannot read config {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra, fault", [
+        ("train", ["--ablate", "no_such"], "no_such"),
+        ("train", ["--seed", "-1"], "seed"),
+        ("gradcheck", ["--seed", "-1"], "seed"),
+    ], ids=["train_ablate", "train_seed", "gradcheck_seed"])
+    def test_bad_seed_or_ablation_is_usage_error(self, workspace, tmp_path, capsys, command,
+                                                 extra, fault):
+        _, _, config_path, data_dir = workspace
+        dirs = (["--data-dir", str(data_dir), "--out-dir", str(tmp_path / "out")]
+                if command == "train" else [])
+        assert cli.main([command, "--config", str(config_path), *dirs, *extra]) == \
+            cli.EXIT_USAGE
+        assert fault in capsys.readouterr().err
+
     def test_missing_dataset_is_data_error(self, workspace, tmp_path, capsys):
         root, _, config_path, _ = workspace
         code = cli.main(["train", "--config", str(config_path),
@@ -328,6 +349,21 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_DATA, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"{edited / name} line {line}:" in proc.stderr
+
+    @pytest.mark.parametrize("name, line", [("train.jsonl", 1), ("train.jsonl", 3),
+                                            ("cues_train.jsonl", 1), ("cues_train.jsonl", 3)])
+    def test_bytes_that_are_not_utf8_are_data_error(self, workspace, tmp_path, capsys, name,
+                                                    line):
+        _, _, config_path, data_dir = workspace
+        edited = tmp_path / "data"
+        shutil.copytree(data_dir, edited)
+        lines = (edited / name).read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][6:]
+        (edited / name).write_bytes(b"\n".join(lines))
+        code = cli.main(["train", "--config", str(config_path), "--data-dir", str(edited),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        assert f"{edited / name} line {line}:" in capsys.readouterr().err
 
     def test_cue_file_of_another_dimension_is_data_error(self, workspace, tmp_path):
         _, config, config_path, data_dir = workspace

@@ -34,6 +34,17 @@ def run_batch(config, model, batch, frozen=None):
     return graph.batch_loss(tensors, graph.Batch.of(batch), config, frozen=frozen), tensors
 
 
+def tape_nodes(root):
+    """Every node reachable from `root`, the set `Tensor.backward` visits."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return list(seen.values())
+
+
 def strip_cues(sample, options):
     return Sample(sample_id=sample.sample_id, input_emb=sample.input_emb,
                   options=[(t, None if oid in options else cs)
@@ -240,13 +251,19 @@ class TestGradients:
         config = replace(config, n_experts=n_experts)
         model = Model.init(config.d, n_experts, config.k, config.hidden, 0)
         (total, _, _), _ = run_batch(config, model, batch)
-        seen, todo = {id(total)}, [total]
-        while todo:
-            for parent in todo.pop()._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    todo.append(parent)
-        assert len(seen) == 42
+        nodes = tape_nodes(total)
+        # batch arrays are plain operands: every node can carry a gradient
+        assert all(parent.grad is not None for node in nodes for parent in node._parents)
+        assert len(nodes) == 34
+
+    def test_ablated_loss_terms_are_not_built(self, setup):
+        config, model, batch = setup
+        (default, _, _), _ = run_batch(config, model, batch)
+        ablated = replace(config, no_contrast=True, no_distill=True)
+        (total, breakdown, _), _ = run_batch(ablated, model, batch)
+        assert len(tape_nodes(total)) < len(tape_nodes(default))
+        assert breakdown.contrast == breakdown.distill == 0.0
+        assert breakdown.total == breakdown.main
 
     def test_gradient_check_probes_the_blocks(self, setup):
         config, _, _ = setup

@@ -406,6 +406,20 @@ class TestSweep:
 
 
 class TestMetricsCSV:
+    def test_kept_when_training_diverges(self, tmp_path):
+        # the step-0 update at this rate blows the weights up, so step 1's loss
+        # is not finite
+        config = small_config(lr=1e6, weight_decay=0.0, grad_clip_norm=1e9, warmup_steps=0)
+        train_set, eval_set = generate_dataset(config, seed=config.seed)
+        path = tmp_path / "metrics.csv"
+        with pytest.raises(DivergenceError) as exc:
+            train(config, train_set, eval_set, metrics_path=path)
+        assert exc.value.step == 1
+        with open(path, newline="") as fh:
+            loaded = list(csv.DictReader(fh))
+        assert [row["step"] for row in loaded] == ["0"]
+        assert list(loaded[0]) == list(METRIC_COLUMNS)
+
     def test_round_trip_readable(self, tmp_path):
         rows = [dict(zip(METRIC_COLUMNS, [0, 1e-4, 1.0, -0.1, 0.2, 1.1, 2.5, 1,
                                           0.5, 0.4, 0.4, 0.3]))]
