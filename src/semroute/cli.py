@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 divergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import subprocess
 import sys
@@ -17,7 +16,8 @@ from pathlib import Path
 from .cues import load_cue_table, save_cue_table
 from .data import cue_table_from_samples, generate_dataset, load_dataset, save_dataset
 from .diagnostics import write_diagnostics_csv, write_heatmap_csv
-from .errors import DataError, DivergenceError, SemrouteError
+from .errors import DivergenceError, SemrouteError
+from .fileio import write_csv
 from .gradcheck import REL_TOL, gradient_check
 from .model import Model, config_hash
 from .trainer import TrainConfig, diagnose, evaluate, sweep, train
@@ -51,9 +51,10 @@ class UsageError(Exception):
 
 
 def _revision() -> str:
+    """The short git revision of the checkout that holds this package."""
     try:
-        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                             capture_output=True, text=True, timeout=5)
+        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+                             text=True, timeout=5, cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
@@ -84,8 +85,6 @@ def _finish_manifest(path: Path):
 def _load_split(data_dir: Path, split: str, config: TrainConfig):
     dataset_path = data_dir / f"{split}.jsonl"
     cues_path = data_dir / f"cues_{split}.jsonl"
-    if not dataset_path.exists():
-        raise DataError(f"missing dataset file {dataset_path}")
     table = load_cue_table(cues_path) if cues_path.exists() else None
     return load_dataset(dataset_path, cue_table=table, only_variance=config.only_variance)
 
@@ -131,19 +130,15 @@ def cmd_eval(args) -> int:
     print(f"mode={args.mode} accuracy={metrics['accuracy']:.4f} "
           f"sim={metrics['sim_mean']:.4f} n={len(eval_set)}")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mode", "accuracy", "sim_mean", "n"])
-            writer.writerow([args.mode, repr(metrics["accuracy"]),
-                             repr(metrics["sim_mean"]), len(eval_set)])
+        write_csv(args.out, ["mode", "accuracy", "sim_mean", "n"],
+                  [[args.mode, repr(metrics["accuracy"]), repr(metrics["sim_mean"]),
+                    len(eval_set)]])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config, seed=args.seed)
-    n_values = [int(v) for v in args.grid_n.split(",")]
-    k_values = [int(v) for v in args.grid_k.split(",")]
-    rows = sweep(n_values, k_values, config, out_path=args.out)
+    rows = sweep(args.grid_n, args.grid_k, config, out_path=args.out)
     for row in rows:
         print(f"n={row['n']} K={row['K']} acc={row['acc']} sim={row['sim']} "
               f"status={row['status']}")
@@ -177,6 +172,11 @@ def cmd_gradcheck(args) -> int:
         print(f"{name}: max relative error {errors[name]:.3e} [{status}]")
     print(f"worst: {worst:.3e} (tolerance {REL_TOL})")
     return EXIT_OK if worst <= REL_TOL else EXIT_GRADCHECK
+
+
+def comma_ints(text) -> list:
+    """A comma list of integers; argparse makes its ValueError a usage error."""
+    return [int(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the (n, K) grid sweep")
     common(p)
-    p.add_argument("--grid-n", required=True, help="comma list of expert counts")
-    p.add_argument("--grid-k", required=True, help="comma list of K values")
+    p.add_argument("--grid-n", required=True, type=comma_ints,
+                   help="comma list of expert counts")
+    p.add_argument("--grid-k", required=True, type=comma_ints, help="comma list of K values")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -1,10 +1,9 @@
 """Semantic cue handling: agreement/variance/uncertainty scoring,
 the regeneration loop for unreliable cues, synthetic cue generation,
-and the line-oriented JSON cue file used to cache cues across runs.
+and the JSONL cue file used to cache cues across runs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,10 +17,9 @@ from .errors import (
     RegenerationFailedError,
     ShapeError,
 )
+from .fileio import JSONL_VERSION, read_jsonl, write_jsonl
 from .numerics import cosine  # noqa: F401  traced by perfbench/tracing.py
 from .numerics import numeric_array
-
-CUE_FILE_VERSION = 1
 
 
 @dataclass
@@ -202,24 +200,16 @@ class CueTable:
 
 
 def save_cue_table(table: CueTable, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"dim": table.dim, "version": CUE_FILE_VERSION}) + "\n")
-        for (sample_id, option_id), cs in sorted(table.items()):
-            record = {
-                "sample_id": sample_id,
-                "option_id": option_id,
-                "positive": cs.positive.tolist(),
-                "negative": cs.negative.tolist(),
-                "variants": [v.tolist() for v in cs.variants],
-            }
-            fh.write(json.dumps(record) + "\n")
+    write_jsonl(path, {"dim": table.dim, "version": JSONL_VERSION},
+                ({"sample_id": sample_id, "option_id": option_id,
+                  "positive": cs.positive.tolist(), "negative": cs.negative.tolist(),
+                  "variants": [v.tolist() for v in cs.variants]}
+                 for (sample_id, option_id), cs in sorted(table.items())))
 
 
 def _cue_record(record, dim: int):
     """The (sample_id, option_id) key and the (2+V, dim) cue block of one
     parsed record; raises ValueError naming the first field at fault."""
-    if not isinstance(record, dict):
-        raise ValueError("a cue record must be a JSON object")
     for fieldname in ("sample_id", "option_id", "positive", "negative", "variants"):
         if fieldname not in record:
             raise ValueError(f"missing field {fieldname!r}")
@@ -239,44 +229,30 @@ def _cue_record(record, dim: int):
 
 def load_cue_table(path) -> CueTable:
     """Read a cue file. Every fault raises CueFileError naming the file and
-    line: a malformed header or record, an id of the wrong type, a repeated
-    (sample_id, option_id), and cue embeddings that are not finite, non-zero
-    1-D vectors of the header's `dim`, or fewer than 2 variants."""
-    # read line by line: the whole text would outweigh the arrays it holds.
-    # Each line is decoded in its try, so bytes that are not UTF-8 name it.
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise CueFileError(f"{path}: cue file is empty (missing header line)")
+    line: a fault of the JSONL layout (see `fileio.read_jsonl`), a header
+    `dim` that is not a positive integer, a malformed record, an id of the
+    wrong type, a repeated (sample_id, option_id), and cue embeddings that
+    are not finite, non-zero 1-D vectors of the header's `dim`, or fewer
+    than 2 variants."""
+    records = read_jsonl(path, CueFileError)
+    _, header = next(records)
+    dim = header.get("dim")
+    if type(dim) is not int or dim < 1:
+        raise CueFileError(f"{path} line 1: 'dim' must be a positive integer, got {dim!r}")
+    table = CueTable(dim)
+    first_line, blocks = {}, []
+    for lineno, record in records:
         try:
-            header = json.loads(header_line.decode("utf-8"))
+            key, block = _cue_record(record, dim)
         except ValueError as exc:
-            raise CueFileError(f"{path} line 1: header is not valid JSON: {exc}") from exc
-        if not isinstance(header, dict) or "dim" not in header or "version" not in header:
-            raise CueFileError(f"{path} line 1: header must declare 'dim' and 'version'")
-        if header["version"] != CUE_FILE_VERSION:
-            raise CueFileError(f"{path} line 1: unsupported cue file version "
-                               f"{header['version']!r}")
-        dim = header["dim"]
-        if type(dim) is not int or dim < 1:
-            raise CueFileError(f"{path} line 1: 'dim' must be a positive integer, got {dim!r}")
-        table = CueTable(dim)
-        first_line, blocks = {}, []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                key, block = _cue_record(json.loads(line.decode("utf-8")), dim)
-            except ValueError as exc:
-                raise CueFileError(f"{path} line {lineno}: {exc}") from exc
-            if key in first_line:
-                raise CueFileError(f"{path} line {lineno}: a second cue record for sample "
-                                   f"{key[0]!r}, option {key[1]} (the first is on line "
-                                   f"{first_line[key]})")
-            first_line[key] = lineno
-            blocks.append(block)
-            table.put(*key, CueSet(positive=block[0], negative=block[1],
-                                   variants=list(block[2:])))
+            raise CueFileError(f"{path} line {lineno}: {exc}") from exc
+        if key in first_line:
+            raise CueFileError(f"{path} line {lineno}: a second cue record for sample "
+                               f"{key[0]!r}, option {key[1]} (the first is on line "
+                               f"{first_line[key]})")
+        first_line[key] = lineno
+        blocks.append(block)
+        table.put(*key, CueSet(positive=block[0], negative=block[1], variants=list(block[2:])))
     # one pass over every embedding; the record at fault is looked up only
     # on failure. A sum of squares is 0 exactly when every square is, so
     # any summation order finds the zero norms that scoring would.

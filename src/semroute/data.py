@@ -7,7 +7,6 @@ makes the input-to-concept map non-trivial so routing quality matters.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from .cues import CueSet, CueTable, regenerate_if_uncertain, score_cues, synthesize_cues
 from .cues import score_cue_set  # noqa: F401  traced by perfbench/tracing.py
 from .errors import DataError, InvalidInputError
+from .fileio import JSONL_VERSION, read_jsonl, write_jsonl
 from .numerics import numeric_array, seeded_rng
 
 
@@ -103,16 +103,10 @@ def generate_dataset(config, seed: int):
 
 def save_dataset(samples, path):
     """One JSON object per sample; cues are stored in the cue file instead."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"version": 1, "count": len(samples)}) + "\n")
-        for s in samples:
-            fh.write(json.dumps({
-                "sample_id": s.sample_id,
-                "input_emb": s.input_emb.tolist(),
-                "options": [t.tolist() for t, _ in s.options],
-                "correct": s.correct,
-                "category": s.category,
-            }) + "\n")
+    write_jsonl(path, {"version": JSONL_VERSION, "count": len(samples)},
+                ({"sample_id": s.sample_id, "input_emb": s.input_emb.tolist(),
+                  "options": [t.tolist() for t, _ in s.options],
+                  "correct": s.correct, "category": s.category} for s in samples))
 
 
 def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = False):
@@ -121,29 +115,21 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
     Every sample must have a unique string `sample_id`, a string `category`,
     an integer `correct` index, the same option count, and input and option
     embeddings of one dimension, that of the cue table too: batched training
-    and evaluation stack them into arrays. Every record is parsed first;
-    then all cue sets are scored in one `score_cues` call per variant count.
+    and evaluation stack them into arrays. An input embedding with cues must
+    not have zero norm. Every record is parsed first; then all cue sets are
+    scored in one `score_cues` call per variant count.
     """
-    # each line is decoded in a try below, so bytes that are not UTF-8 name a line
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"dataset file {path} is empty")
-    try:
-        count = json.loads(lines[0].decode("utf-8"))["count"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path} line 1: malformed header: {exc}") from exc
+    records = read_jsonl(path, DataError)
+    _, header = next(records)
+    count = header.get("count")
     if type(count) is not int or count < 0:
         raise DataError(f"{path} line 1: the header count must be a non-negative integer, "
                         f"got {count!r}")
     samples = []
     first_line = {}
-    unscored = []  # (line, sample, option id, cue set)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    by_variants = {}  # variant count -> [(sample, option id, cue set)]
+    for lineno, rec in records:
         try:
-            rec = json.loads(line.decode("utf-8"))
             sample_id, correct, category = rec["sample_id"], rec["correct"], rec["category"]
             if not (isinstance(sample_id, str) and isinstance(category, str)):
                 raise DataError(f"sample_id and category must be strings, got {sample_id!r} "
@@ -174,40 +160,28 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
                 category=category,
             ))
             if cue_table is not None:
-                unscored += [(lineno, samples[-1], oid, cue_table.get(sample_id, oid))
-                             for oid in range(len(texts)) if (sample_id, oid) in cue_table]
-        # ValueError includes JSON syntax errors, ragged or non-numeric
-        # arrays, and the DataError raised above
+                cued = [(oid, cue_table.get(sample_id, oid)) for oid in range(len(texts))
+                        if (sample_id, oid) in cue_table]
+                # scoring divides by the norm, 0 exactly when this sum of squares is
+                if cued and not input_emb @ input_emb:
+                    raise DataError("an input embedding with cues must not have zero norm")
+                for oid, cs in cued:
+                    by_variants.setdefault(len(cs.variants), []).append((samples[-1], oid, cs))
+        # ValueError includes ragged or non-numeric arrays and the
+        # DataError raised above
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path} line {lineno}: {exc}") from exc
         first_line[sample_id] = lineno
     if count != len(samples):
         raise DataError(f"{path}: the header counts {count} samples, the file holds {len(samples)}")
-    by_variants = {}
-    for entry in unscored:
-        by_variants.setdefault(len(entry[3].variants), []).append(entry)
     for group in by_variants.values():
-        _score_group(path, group, only_variance)
-    return samples
-
-
-def _score_group(path, group, only_variance):
-    """Score cue sets with one variant count in one call and put them into
-    their samples' options; a fault is traced back to its record's line."""
-    stacked = np.array([(cs.positive, cs.negative, *cs.variants) for *_, cs in group])
-    inputs = np.array([sample.input_emb for _, sample, _, _ in group])
-    try:
+        stacked = np.array([(cs.positive, cs.negative, *cs.variants) for *_, cs in group])
+        inputs = np.array([sample.input_emb for sample, *_ in group])
         scores = score_cues(stacked, inputs, only_variance=only_variance)
-    except ValueError:
-        for row, (lineno, _, oid, _) in enumerate(group):
-            try:
-                score_cues(stacked[row:row + 1], inputs[row:row + 1], only_variance=only_variance)
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}, option {oid}: {exc}") from exc
-        raise
-    for (_, sample, oid, cs), agr, var, unc in zip(group, *(a.tolist() for a in scores)):
-        text = sample.options[oid][0]
-        sample.options[oid] = (text, replace(cs, agreement=agr, variance=var, uncertainty=unc))
+        for (sample, oid, cs), agr, var, unc in zip(group, *(a.tolist() for a in scores)):
+            text = sample.options[oid][0]
+            sample.options[oid] = (text, replace(cs, agreement=agr, variance=var, uncertainty=unc))
+    return samples
 
 
 def cue_table_from_samples(samples, dim: int) -> CueTable:

@@ -10,6 +10,7 @@ import csv
 import numpy as np
 
 from .errors import DegenerateVectorError, InvalidInputError, InvalidRoutingError
+from .fileio import write_csv
 from .numerics import cosine  # noqa: F401  counted by perfbench/tracing.py
 
 
@@ -80,11 +81,8 @@ def selection_heatmap(categories, topk_mask):
 
 
 def write_heatmap_csv(path, categories, matrix):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category"] + [f"expert{i}" for i in range(matrix.shape[1])])
-        for category, row in zip(categories, matrix):
-            writer.writerow([category] + [repr(float(v)) for v in row])
+    write_csv(path, ["category"] + [f"expert{i}" for i in range(matrix.shape[1])],
+              ([c] + [repr(float(v)) for v in row] for c, row in zip(categories, matrix)))
 
 
 def read_heatmap_csv(path):
@@ -97,15 +95,8 @@ def read_heatmap_csv(path):
 
 def write_diagnostics_csv(path, run_id, per_category, sim_mean, sharpness_by_category):
     """One row per category: run_id, category, sharpness, variance raw/x10, sim."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "category", "sharpness", "variance_raw",
-                         "variance_x10", "sim_mean"])
-        for category in sorted(per_category):
-            var = per_category[category]
-            writer.writerow([
-                run_id, category,
-                repr(float(sharpness_by_category[category])),
-                repr(float(var)), repr(float(10.0 * var)),
-                repr(float(sim_mean)),
-            ])
+    write_csv(path, ["run_id", "category", "sharpness", "variance_raw", "variance_x10",
+                     "sim_mean"],
+              ([run_id, c, repr(float(sharpness_by_category[c])), repr(float(var)),
+                repr(float(10.0 * var)), repr(float(sim_mean))]
+               for c, var in sorted(per_category.items())))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, MissingCueError
+from .errors import DataError, InvalidInputError, MissingCueError
 from .model import split_blocks
 
 WEIGHT_CLIP = (0.1, 1.0)  # per-option weight range after clipping
@@ -51,6 +51,8 @@ class Batch(NamedTuple):
     def of(cls, samples, cues: bool = True) -> "Batch":
         """Gather a list of `Sample`s once. One concatenate is several
         times faster than `np.stack` on many small vectors."""
+        if not samples:
+            raise DataError("the dataset holds no samples")
         n, n_options = len(samples), len(samples[0].options)
         ids = np.array([s.sample_id for s in samples])
         x = np.concatenate([s.input_emb for s in samples]).reshape(n, -1)

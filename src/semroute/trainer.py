@@ -3,7 +3,6 @@ clipping, ablation wiring, evaluation, and the (n, K) sweep harness.
 """
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
@@ -19,6 +18,7 @@ from .diagnostics import (
     sim_score,
 )
 from .errors import DataError, DivergenceError, InvalidInputError
+from .fileio import write_csv
 from .model import Model
 from .numerics import seeded_rng
 from .scoring import expert_forward, score_all_options  # noqa: F401 traced by perfbench/tracing.py
@@ -223,10 +223,12 @@ def train_step(model: Model, batch: graph.Batch, config: TrainConfig, step: int,
     return breakdown, aux
 
 
-def _check_dim(dataset, d: int):
-    if dataset and dataset[0].input_emb.size != d:
-        raise DataError(f"dataset embeddings have dimension {dataset[0].input_emb.size}, "
-                        f"the model {d}")
+def _gather(dataset, d: int, cues: bool) -> graph.Batch:
+    """`graph.Batch.of` the dataset, whose embeddings must have dimension d."""
+    batch = graph.Batch.of(dataset, cues=cues)
+    if batch.x.shape[1] != d:
+        raise DataError(f"dataset embeddings have dimension {batch.x.shape[1]}, the model {d}")
+    return batch
 
 
 def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
@@ -238,15 +240,12 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
     correct option has cues and is NaN when none has. `topk_mask` and
     `gate` are the (N, E) routing decisions.
     """
-    if not dataset:
-        raise DataError("cannot evaluate on an empty dataset")
     dims = (model.d, model.n_experts, model.k, model.hidden)
     if dims != (config.d, config.n_experts, config.k, config.hidden):
         raise InvalidInputError(f"model (d, E, K, hidden) = {dims} differ from the config's "
                                 f"{(config.d, config.n_experts, config.k, config.hidden)}")
-    _check_dim(dataset, model.d)
     # student mode never reads a cue, so it gathers none
-    batch = graph.Batch.of(dataset, cues=mode == "teacher")
+    batch = _gather(dataset, model.d, cues=mode == "teacher")
     scores, _, routing = graph.forward_options(model.blocks, batch, config, mode=mode)
     mask = routing["topk_mask"]
     gate = routing[f"{mode}_gate"].value
@@ -294,10 +293,9 @@ def diagnose(model: Model, dataset, mode: str, config: TrainConfig):
 
 def train(config: TrainConfig, train_set, eval_set, metrics_path=None):
     """Full training run; returns (model, list of per-step metric rows)."""
-    _check_dim(train_set, config.d)
+    records = _gather(train_set, config.d, cues=True)
     model = Model.init(config.d, config.n_experts, config.k, config.hidden, config.seed)
     optimizer = AdamW(model.vector.size, config)
-    records = graph.Batch.of(train_set)
     batch_rng = seeded_rng(config.seed + 1)
     order = np.arange(len(train_set))
     batch_rng.shuffle(order)
@@ -339,33 +337,34 @@ def train(config: TrainConfig, train_set, eval_set, metrics_path=None):
 
 
 def write_metrics_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(METRIC_COLUMNS))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, METRIC_COLUMNS, ([row[c] for c in METRIC_COLUMNS] for row in rows))
 
 
 def sweep(n_values, k_values, config: TrainConfig, out_path=None):
-    """Fresh seeded run per (n, K) cell; infeasible or diverging cells are
-    marked failed and the sweep continues."""
+    """Fresh seeded run per (n, K) cell on one dataset, which depends on
+    neither; infeasible or diverging cells are marked failed and the sweep
+    continues. `out_path` is opened before the first cell and gets each
+    row as its cell finishes."""
     rows = []
-    for n in n_values:
-        for k in k_values:
-            row = {"n": n, "K": k, "acc": "", "sim": "", "status": "ok"}
-            try:
-                cell_config = replace(config, n_experts=n, k=k)
-                train_set, eval_set = generate_dataset(cell_config, cell_config.seed)
-                model, _ = train(cell_config, train_set, eval_set)
-                metrics = evaluate(model, eval_set, "student", cell_config)
-                row["acc"] = repr(metrics["accuracy"])
-                row["sim"] = repr(metrics["sim_mean"])
-            except (InvalidInputError, DivergenceError, DataError) as exc:
-                row["status"] = f"failed: {type(exc).__name__}"
-            rows.append(row)
-    if out_path is not None:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["n", "K", "acc", "sim", "status"])
-            writer.writeheader()
-            writer.writerows(rows)
+
+    def cells():
+        train_set, eval_set = generate_dataset(config, config.seed)
+        for n in n_values:
+            for k in k_values:
+                row = {"n": n, "K": k, "acc": "", "sim": "", "status": "ok"}
+                try:
+                    cell_config = replace(config, n_experts=n, k=k)
+                    model, _ = train(cell_config, train_set, eval_set)
+                    metrics = evaluate(model, eval_set, "student", cell_config)
+                    row["acc"] = repr(metrics["accuracy"])
+                    row["sim"] = repr(metrics["sim_mean"])
+                except (InvalidInputError, DivergenceError, DataError) as exc:
+                    row["status"] = f"failed: {type(exc).__name__}"
+                rows.append(row)
+                yield row.values()
+
+    if out_path is None:
+        list(cells())
+    else:
+        write_csv(out_path, ("n", "K", "acc", "sim", "status"), cells())
     return rows

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import read_archive, small_config, write_archive
-from semroute import cli
+from semroute import cli, trainer
 from semroute.errors import DivergenceError
 from semroute.graph import LossBreakdown
 from semroute.model import Model, config_hash
@@ -142,6 +142,48 @@ class TestSweep:
         assert len(lines) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid", ["2,x", ""])
+    def test_bad_grid_is_usage_error(self, workspace, tmp_path, grid):
+        _, _, config_path, _ = workspace
+        proc = run_cli("sweep", "--config", config_path, "--grid-n", grid, "--grid-k", "2",
+                       "--out", tmp_path / "sweep.csv")
+        assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "--grid-n" in proc.stderr
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unwritable_out_is_data_error_before_training(self, workspace, tmp_path,
+                                                          monkeypatch, capsys):
+        _, _, config_path, _ = workspace
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("a cell trained"))
+        code = cli.main(["sweep", "--config", str(config_path), "--grid-n", "4",
+                         "--grid-k", "2", "--out", str(tmp_path / "missing" / "sweep.csv")])
+        assert code == cli.EXIT_DATA
+        assert "sweep.csv" in capsys.readouterr().err
+
+
+class TestRevision:
+    @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+    def test_names_the_package_checkout_not_the_working_directory(self, tmp_path,
+                                                                  monkeypatch):
+        def git(*args, cwd):
+            return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+
+        git("init", "-q", cwd=tmp_path)
+        git("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+            "commit", "-q", "--allow-empty", "-m", "other", cwd=tmp_path)
+        other = git("rev-parse", "--short", "HEAD", cwd=tmp_path).stdout.strip()
+        assert other
+        package = git("rev-parse", "--short", "HEAD", cwd=Path(cli.__file__).parent)
+        monkeypatch.chdir(tmp_path)
+        assert cli._revision() == (package.stdout.strip() if package.returncode == 0
+                                   else "unknown")
+        assert cli._revision() != other
+
+    def test_unknown_outside_a_checkout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+        assert cli._revision() == "unknown"
+
 
 class TestGradcheck:
     def test_passes_on_small_config(self, workspace, capsys):
@@ -197,6 +239,18 @@ class TestExitCodes:
                          "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_DATA
         capsys.readouterr()
+
+    def test_empty_train_split_is_data_error(self, workspace, tmp_path):
+        _, _, config_path, data_dir = workspace
+        edited = tmp_path / "data"
+        shutil.copytree(data_dir, edited)
+        (edited / "train.jsonl").write_text(json.dumps({"version": 1, "count": 0}) + "\n")
+        (edited / "cues_train.jsonl").unlink()
+        proc = run_cli("train", "--config", config_path, "--data-dir", edited,
+                       "--out-dir", tmp_path / "out")
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "no samples" in proc.stderr
 
     @pytest.mark.parametrize("field, value", [("eval_every", 0), ("warmup_steps", -1),
                                               ("batch", 0), ("temperature", 0.0),

@@ -8,7 +8,7 @@ from dataclasses import replace
 from conftest import small_config
 from semroute import graph
 from semroute.data import Sample, generate_dataset
-from semroute.errors import MissingCueError
+from semroute.errors import DataError, MissingCueError
 from semroute.gradcheck import REL_TOL, gradient_check
 from semroute.model import Model, block_shapes
 from semroute.scoring import (
@@ -63,6 +63,11 @@ class TestBatch:
         assert taken.text.shape == (3, len(samples[0].options), samples[0].input_emb.size)
         np.testing.assert_array_equal(taken.pos[1, 2], samples[0].options[2][1].positive)
         assert taken.unc[2, 1] == samples[2].options[1][1].uncertainty
+
+    @pytest.mark.parametrize("cues", [True, False])
+    def test_empty_list_is_data_error(self, cues):
+        with pytest.raises(DataError, match="no samples"):
+            graph.Batch.of([], cues=cues)
 
     def test_cue_free_record_holds_no_cues(self, setup):
         _, _, samples = setup

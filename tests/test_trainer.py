@@ -9,7 +9,7 @@ import pytest
 from conftest import small_config
 from semroute.data import generate_dataset, load_dataset, save_dataset
 from semroute.errors import DataError, DivergenceError, InvalidInputError
-from semroute import graph
+from semroute import graph, trainer
 from semroute.graph import Batch
 from semroute.model import Model
 from semroute.trainer import (
@@ -283,6 +283,30 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=f"line {line}: .*({field}|numbers)"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("version", [None, 2, "1", True, 1.0])
+    def test_header_version_other_than_1_rejected(self, config, tmp_path, version):
+        samples, _ = generate_dataset(config, seed=0)
+        path = tmp_path / "train.jsonl"
+        save_dataset(samples[:1], path)
+        lines = path.read_text().splitlines()
+        header = {"count": 1} if version is None else {"version": version, "count": 1}
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(DataError, match="line 1: .*version"):
+            load_dataset(path)
+
+    def test_zero_norm_input_with_cues_rejected_at_its_line(self, config, tmp_path):
+        from semroute.cues import load_cue_table, save_cue_table
+        from semroute.data import cue_table_from_samples
+        samples, _ = generate_dataset(config, seed=0)
+        save_dataset(samples[:3], tmp_path / "train.jsonl")
+        save_cue_table(cue_table_from_samples(samples[:3], config.d), tmp_path / "cues.jsonl")
+        lines = (tmp_path / "train.jsonl").read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "input_emb": [0.0] * config.d})
+        (tmp_path / "train.jsonl").write_text("\n".join(lines) + "\n")
+        load_dataset(tmp_path / "train.jsonl")  # without cues nothing divides by its norm
+        with pytest.raises(DataError, match="line 3: .*zero norm"):
+            load_dataset(tmp_path / "train.jsonl", load_cue_table(tmp_path / "cues.jsonl"))
+
     def test_mixed_variant_counts_score_as_one_set_at_a_time(self, config, tmp_path, rng):
         from semroute.cues import CueSet, load_cue_table, save_cue_table, score_cue_set
         from semroute.data import cue_table_from_samples
@@ -396,6 +420,20 @@ class TestSweep:
         with open(out, newline="") as fh:
             parsed = list(csv.DictReader(fh))
         assert list(parsed[0]) == ["n", "K", "acc", "sim", "status"]
+
+    def test_dataset_generated_once(self, monkeypatch):
+        # the dataset reads neither n_experts nor K, so every cell shares it
+        config = small_config(total_steps=3, train_size=12, eval_size=6)
+        calls = []
+
+        def counted(cfg, seed):
+            calls.append(seed)
+            return generate_dataset(cfg, seed)
+
+        monkeypatch.setattr(trainer, "generate_dataset", counted)
+        rows = sweep([2, 4], [1, 2], config)
+        assert calls == [config.seed]
+        assert [r["status"] for r in rows] == ["ok"] * 4
 
     def test_infeasible_cell_marked_failed(self, tmp_path):
         config = small_config(total_steps=3, train_size=12, eval_size=6)
