@@ -69,6 +69,8 @@ def _write_manifest(out_dir: Path, config: TrainConfig, outputs: dict) -> Path:
         "revision": _revision(),
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "finished_at": None,
+        "status": None,
+        "error": None,
         "outputs": {k: str(v) for k, v in outputs.items()},
     }
     path = out_dir / "manifest.json"
@@ -76,9 +78,12 @@ def _write_manifest(out_dir: Path, config: TrainConfig, outputs: dict) -> Path:
     return path
 
 
-def _finish_manifest(path: Path):
+def _finish_manifest(path: Path, status: str, error: str | None = None):
+    """Record how the run ended: `status` is ok, diverged or error, and
+    `error` the message of the exception that ended it."""
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    manifest.update(finished_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"), status=status,
+                    error=error)
     path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
 
@@ -115,9 +120,14 @@ def cmd_train(args) -> int:
     metrics = out_dir / "metrics.csv"
     manifest = _write_manifest(out_dir, config,
                                {"checkpoint": checkpoint, "metrics": metrics})
-    model, _ = train(config, train_set, eval_set, metrics_path=metrics)
-    model.save(checkpoint, config_hash=config_hash(config.to_dict()))
-    _finish_manifest(manifest)
+    try:
+        model, _ = train(config, train_set, eval_set, metrics_path=metrics)
+        model.save(checkpoint, config_hash=config_hash(config.to_dict()))
+    except BaseException as exc:
+        _finish_manifest(manifest, "diverged" if isinstance(exc, DivergenceError) else "error",
+                         str(exc) or type(exc).__name__)
+        raise
+    _finish_manifest(manifest, "ok")
     print(f"trained {config.total_steps} steps; checkpoint at {checkpoint}")
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .fileio import JSONL_VERSION, read_jsonl, write_jsonl
 from .numerics import cosine  # noqa: F401  traced by perfbench/tracing.py
-from .numerics import numeric_array
+from .numerics import numeric_array, squared_norms
 
 
 @dataclass
@@ -69,15 +69,16 @@ def score_cues(stacked, image_embs, only_variance: bool = False):
         raise InsufficientVariantsError(f"need >= 2 variants, got {cues.shape[1] - 2}")
     if not (np.isfinite(cues).all() and np.isfinite(x).all()):
         raise InvalidInputError("cue or image embeddings contain non-finite entries")
-    # Each dot product and squared norm is its own (1, d) @ (d, 1) matmul,
-    # which numpy computes with the same dot as a 1-D `a @ b` and as
-    # `np.linalg.norm`, so every score equals the scalar cosines' bit for bit.
-    # einsum, norm(axis=-1) and `cues @ x` sum in other orders.
-    dots = np.matmul(cues[:, :, None, :], x[:, None, :, None])[..., 0, 0]
-    norms = np.sqrt(np.matmul(cues[:, :, None, :], cues[:, :, :, None])[..., 0, 0])
-    x_norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
-    if not (norms.all() and x_norms.all()):
+    # Each dot product is its own (1, d) @ (d, 1) matmul, like the squared
+    # norms, so every score equals the scalar cosines' bit for bit; `cues @ x`
+    # sums in another order.
+    sq_norms, sq_x = squared_norms(cues), squared_norms(x)
+    if not (np.isfinite(sq_norms).all() and np.isfinite(sq_x).all()):
+        raise InvalidInputError("a squared cue or image embedding norm overflows float64")
+    if not (sq_norms.all() and sq_x.all()):
         raise DegenerateVectorError("cosine of a zero-norm vector is undefined")
+    dots = np.matmul(cues[:, :, None, :], x[:, None, :, None])[..., 0, 0]
+    norms, x_norms = np.sqrt(sq_norms), np.sqrt(sq_x)
     cos = np.clip(dots / (x_norms[:, None] * norms), -1.0, 1.0)
     diff = cos[:, 0] - cos[:, 1]
     agr = np.where(diff > 0.0, diff, 0.0)  # max(0.0, diff): never -0.0
@@ -134,24 +135,31 @@ def regenerate_if_uncertain(cue_set, image_emb, threshold, generator, max_rounds
     return best
 
 
-def synthesize_cues(concept_centroid, distractor_centroid, noise_scale, variant_count,
-                    rng) -> CueSet:
-    """Desk-scale stand-in for external cue generation.
-
-    Positive cues sit near the concept centroid, negative cues near a
-    distractor centroid; variants are noisy paraphrases of the positive cue.
-    """
+def draw_cue_block(concept_centroid, distractor_centroid, noise_scale, variant_count,
+                   rng) -> np.ndarray:
+    """The (2+V, d) cues of one option: a positive cue near the concept
+    centroid, a negative cue near a distractor centroid, then V variants,
+    noisy paraphrases of the positive cue."""
     if noise_scale < 0.0:
         raise InvalidInputError("noise_scale must be non-negative")
     if variant_count < 2:
         raise InsufficientVariantsError("variant_count must be at least 2")
     centroid = np.asarray(concept_centroid, dtype=np.float64)
-    distractor = np.asarray(distractor_centroid, dtype=np.float64)
-    noise = rng.standard_normal((2 + variant_count, centroid.shape[0]))
-    noise *= noise_scale
-    positive = centroid + noise[0]
-    return CueSet(positive=positive, negative=distractor + noise[1],
-                  variants=[positive + row for row in noise[2:]])
+    block = rng.standard_normal((2 + variant_count, centroid.shape[0]))
+    block *= noise_scale
+    block[0] += centroid
+    block[1] += np.asarray(distractor_centroid, dtype=np.float64)
+    block[2:] += block[0]
+    return block
+
+
+def synthesize_cues(concept_centroid, distractor_centroid, noise_scale, variant_count,
+                    rng) -> CueSet:
+    """Desk-scale stand-in for external cue generation: an unscored CueSet
+    of `draw_cue_block`'s cues."""
+    block = draw_cue_block(concept_centroid, distractor_centroid, noise_scale,
+                           variant_count, rng)
+    return CueSet(positive=block[0], negative=block[1], variants=list(block[2:]))
 
 
 class CueTable:
@@ -232,8 +240,8 @@ def load_cue_table(path) -> CueTable:
     line: a fault of the JSONL layout (see `fileio.read_jsonl`), a header
     `dim` that is not a positive integer, a malformed record, an id of the
     wrong type, a repeated (sample_id, option_id), and cue embeddings that
-    are not finite, non-zero 1-D vectors of the header's `dim`, or fewer
-    than 2 variants."""
+    are not finite, non-zero 1-D vectors of the header's `dim` whose squared
+    norms fit in float64, or fewer than 2 variants."""
     records = read_jsonl(path, CueFileError)
     _, header = next(records)
     dim = header.get("dim")
@@ -253,14 +261,22 @@ def load_cue_table(path) -> CueTable:
         first_line[key] = lineno
         blocks.append(block)
         table.put(*key, CueSet(positive=block[0], negative=block[1], variants=list(block[2:])))
-    # one pass over every embedding; the record at fault is looked up only
-    # on failure. A sum of squares is 0 exactly when every square is, so
-    # any summation order finds the zero norms that scoring would.
+    # one pass over every embedding, with the squared norms scoring takes;
+    # the record at fault is looked up only on failure
     rows = np.concatenate(blocks) if blocks else np.zeros((0, dim))
-    if not (np.isfinite(rows).all() and np.einsum("ij,ij->i", rows, rows).all()):
+    if not (np.isfinite(rows).all() and _scorable(squared_norms(rows))):
         for lineno, block in zip(first_line.values(), blocks):
             if not np.isfinite(block).all():
                 raise CueFileError(f"{path} line {lineno}: cue embeddings must be finite")
-            if not np.einsum("ij,ij->i", block, block).all():
+            sq = squared_norms(block)
+            if not np.isfinite(sq).all():
+                raise CueFileError(f"{path} line {lineno}: a cue embedding's squared norm "
+                                   f"overflows float64")
+            if not sq.all():
                 raise CueFileError(f"{path} line {lineno}: a cue embedding has zero norm")
     return table
+
+
+def _scorable(sq_norms) -> bool:
+    """Whether every squared norm is finite and non-zero, as scoring needs."""
+    return bool(np.isfinite(sq_norms).all() and sq_norms.all())

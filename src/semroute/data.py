@@ -11,11 +11,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cues import CueSet, CueTable, regenerate_if_uncertain, score_cues, synthesize_cues
+from .cues import (CueSet, CueTable, draw_cue_block, regenerate_if_uncertain, score_cues,
+                   synthesize_cues)
 from .cues import score_cue_set  # noqa: F401  traced by perfbench/tracing.py
 from .errors import DataError, InvalidInputError
 from .fileio import JSONL_VERSION, read_jsonl, write_jsonl
-from .numerics import numeric_array, seeded_rng
+from .numerics import numeric_array, seeded_rng, squared_norms
 
 
 @dataclass
@@ -44,10 +45,18 @@ def _random_rotation(rng, d):
 
 
 def generate_dataset(config, seed: int):
-    """Build (train, held_out) lists of fully cue-scored samples."""
+    """Build (train, held_out) lists of fully cue-scored samples.
+
+    Every sample is drawn into preallocated arrays, and then each option
+    column's cue sets are scored with one `score_cues` call. A cue set more
+    uncertain than `unc_threshold` is regenerated, and its regeneration
+    draws inside its sample, so the random stream is rewound to the first
+    sample that holds one. From there every option's cues are drawn and
+    scored on their own, by `synthesize_cues` and `regenerate_if_uncertain`.
+    The samples and cue sets are views of the arrays.
+    """
     rng = seeded_rng(seed)
-    d = config.d
-    n_concepts = config.n_concepts
+    d, n_concepts, n_options = config.d, config.n_concepts, config.option_count
     centroids = _unit_rows(rng, n_concepts, d)
     rotation = _random_rotation(rng, d)
 
@@ -56,46 +65,65 @@ def generate_dataset(config, seed: int):
     concept_ids = np.resize(np.arange(n_concepts), total)
     rng.shuffle(concept_ids)
 
+    rotated = [config.input_scale * centroids[c] @ rotation for c in range(n_concepts)]
+    cue_centroids = config.cue_scale * centroids
+    noise_scale = config.cue_scale * config.cue_noise
+    x = np.empty((total, d))
+    text = np.empty((total, n_options, d))
+    cues = np.empty((total, n_options, 2 + config.variant_count, d))
+    correct = [0] * total
+    states = [None] * total  # the random stream at each sample's start
+
+    def draw(start, option_cues):
+        """Draw samples `start`.. in order; `option_cues(idx, j, concept,
+        negative)` draws option j's cues."""
+        for idx in range(start, total):
+            states[idx] = rng.bit_generator.state
+            c = int(concept_ids[idx])
+            x[idx] = rotated[c] + config.input_noise * rng.standard_normal(d)
+            distractors = [k for k in range(n_concepts) if k != c]
+            rng.shuffle(distractors)
+            option_concepts = [c] + distractors[: n_options - 1]
+            option_concepts = [option_concepts[i] for i in rng.permutation(n_options).tolist()]
+            correct[idx] = option_concepts.index(c)
+            for j, oc in enumerate(option_concepts):
+                text[idx, j] = centroids[oc] + config.option_noise * rng.standard_normal(d)
+                negative = int(rng.integers(n_concepts - 1))  # any concept but oc
+                option_cues(idx, j, oc, negative + (negative >= oc))
+
+    def into_arrays(idx, j, concept, negative):
+        cues[idx, j] = draw_cue_block(cue_centroids[concept], cue_centroids[negative],
+                                      noise_scale, config.variant_count, rng)
+
+    def regenerated(idx, j, concept, negative):
+        def make_cues(_round=None):
+            return synthesize_cues(cue_centroids[concept], cue_centroids[negative],
+                                   noise_scale, config.variant_count, rng)
+
+        cs = regenerate_if_uncertain(make_cues(), x[idx], threshold=config.unc_threshold,
+                                     generator=make_cues, max_rounds=config.max_regen_rounds,
+                                     only_variance=config.only_variance)
+        cues[idx, j] = (cs.positive, cs.negative, *cs.variants)
+        agr[idx, j], var[idx, j], unc[idx, j] = cs.agreement, cs.variance, cs.uncertainty
+
+    draw(0, into_arrays)
+    # one (N, J) array per score
+    agr, var, unc = (np.stack(column, axis=1) for column in zip(*(
+        score_cues(cues[:, j], x, only_variance=config.only_variance)
+        for j in range(n_options))))
+    regenerating = np.flatnonzero((unc > config.unc_threshold).any(axis=1))
+    if regenerating.size:
+        first = int(regenerating[0])
+        rng.bit_generator.state = states[first]
+        draw(first, regenerated)
+
     samples = []
-    for idx in range(total):
-        c = int(concept_ids[idx])
-        input_emb = (config.input_scale * centroids[c] @ rotation
-                     + config.input_noise * rng.standard_normal(d))
-
-        distractors = [j for j in range(n_concepts) if j != c]
-        rng.shuffle(distractors)
-        option_concepts = [c] + distractors[: config.option_count - 1]
-        order = rng.permutation(config.option_count)
-        option_concepts = [option_concepts[int(i)] for i in order]
-        correct = option_concepts.index(c)
-
-        options = []
-        for oc in option_concepts:
-            text_emb = centroids[oc] + config.option_noise * rng.standard_normal(d)
-            distractor_pool = [j for j in range(n_concepts) if j != oc]
-            neg_concept = int(distractor_pool[int(rng.integers(len(distractor_pool)))])
-
-            def make_cues(_round=None, _oc=oc, _neg=neg_concept):
-                return synthesize_cues(
-                    config.cue_scale * centroids[_oc], config.cue_scale * centroids[_neg],
-                    config.cue_scale * config.cue_noise, config.variant_count, rng,
-                )
-
-            cs = regenerate_if_uncertain(
-                make_cues(), input_emb,
-                threshold=config.unc_threshold,
-                generator=make_cues,
-                max_rounds=config.max_regen_rounds,
-                only_variance=config.only_variance,
-            )
-            options.append((text_emb, cs))
-        samples.append(Sample(
-            sample_id=f"s{idx:05d}",
-            input_emb=input_emb,
-            options=options,
-            correct=correct,
-            category=f"c{c}",
-        ))
+    for idx, (c, *scores) in enumerate(zip(concept_ids.tolist(), agr.tolist(), var.tolist(),
+                                           unc.tolist())):
+        options = [(t, CueSet(block[0], block[1], list(block[2:]), *option_scores))
+                   for t, block, *option_scores in zip(text[idx], cues[idx], *scores)]
+        samples.append(Sample(sample_id=f"s{idx:05d}", input_emb=x[idx], options=options,
+                              correct=correct[idx], category=f"c{c}"))
     return samples[: config.train_size], samples[config.train_size:]
 
 
@@ -116,8 +144,9 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
     an integer `correct` index, the same option count, and input and option
     embeddings of one dimension, that of the cue table too: batched training
     and evaluation stack them into arrays. An input embedding with cues must
-    not have zero norm. Every record is parsed first; then all cue sets are
-    scored in one `score_cues` call per variant count.
+    have a non-zero squared norm that fits in float64. Every record is
+    parsed first; then all cue sets are scored in one `score_cues` call per
+    variant count.
     """
     records = read_jsonl(path, DataError)
     _, header = next(records)
@@ -162,9 +191,13 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
             if cue_table is not None:
                 cued = [(oid, cue_table.get(sample_id, oid)) for oid in range(len(texts))
                         if (sample_id, oid) in cue_table]
-                # scoring divides by the norm, 0 exactly when this sum of squares is
-                if cued and not input_emb @ input_emb:
-                    raise DataError("an input embedding with cues must not have zero norm")
+                if cued:
+                    sq_norm = squared_norms(input_emb)  # the one scoring divides by
+                    if not np.isfinite(sq_norm):
+                        raise DataError("the squared norm of an input embedding with cues "
+                                        "overflows float64")
+                    if not sq_norm:
+                        raise DataError("an input embedding with cues must not have zero norm")
                 for oid, cs in cued:
                     by_variants.setdefault(len(cs.variants), []).append((samples[-1], oid, cs))
         # ValueError includes ragged or non-numeric arrays and the

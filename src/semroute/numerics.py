@@ -41,6 +41,17 @@ def numeric_array(value) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def squared_norms(a) -> np.ndarray:
+    """The squared norm of every vector along the last axis of `a`, each its
+    own (1, d) @ (d, 1) matmul: the dot that a 1-D `v @ v` and
+    `np.linalg.norm` use, so the cosines built from it equal the scalar
+    ones bit for bit (einsum and `norm(axis=-1)` sum in other orders). A
+    square too large for float64 gives inf, without a warning."""
+    a = np.asarray(a, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
+
+
 def softmax(logits) -> np.ndarray:
     """Max-subtracted softmax; output is strictly positive and sums to 1."""
     z = as_vector(logits)

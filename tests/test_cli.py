@@ -96,6 +96,7 @@ class TestTrainEvalDiagnose:
         assert len(metrics) == config.total_steps + 1  # header + one per step
         manifest = json.loads((trained / "manifest.json").read_text())
         assert manifest["finished_at"] is not None
+        assert (manifest["status"], manifest["error"]) == ("ok", None)
         assert manifest["seed"] == config.seed
         assert set(manifest["outputs"]) == {"checkpoint", "metrics"}
         assert manifest["outputs"]["checkpoint"] == str(trained / "checkpoint.npz")
@@ -306,6 +307,37 @@ class TestExitCodes:
                          "--data-dir", str(data_dir),
                          "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_DIVERGENCE
+        capsys.readouterr()
+
+    def test_diverged_train_finishes_its_manifest(self, workspace, tmp_path, capsys):
+        _, config, _, data_dir = workspace
+        diverging = tmp_path / "diverging.json"
+        diverging.write_text(json.dumps({**config.to_dict(), "lr": 1e12, "weight_decay": 0.0}))
+        out_dir = tmp_path / "out"
+        code = cli.main(["train", "--config", str(diverging), "--data-dir", str(data_dir),
+                         "--out-dir", str(out_dir)])
+        assert code == cli.EXIT_DIVERGENCE
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["finished_at"] is not None
+        assert manifest["status"] == "diverged"
+        assert manifest["error"].startswith("non-finite loss at step ")
+        assert manifest["error"] in capsys.readouterr().err
+
+    def test_failed_train_finishes_its_manifest(self, workspace, tmp_path, monkeypatch,
+                                               capsys):
+        _, _, config_path, data_dir = workspace
+
+        def fail(config, train_set, eval_set, metrics_path=None):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "train", fail)
+        out_dir = tmp_path / "out"
+        code = cli.main(["train", "--config", str(config_path), "--data-dir", str(data_dir),
+                         "--out-dir", str(out_dir)])
+        assert code == cli.EXIT_DATA
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["finished_at"] is not None
+        assert (manifest["status"], manifest["error"]) == ("error", "disk full")
         capsys.readouterr()
 
     def test_non_finite_eval_file_is_data_error(self, workspace, trained, tmp_path):

@@ -147,6 +147,17 @@ class TestScoreCues:
             score_cues(stacked, images)
 
 
+    @pytest.mark.parametrize("operand", ["cue", "image"])
+    def test_overflowing_squared_norm_is_rejected(self, operand):
+        # its squared norm is inf, which used to turn every cosine into 0
+        stacked = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                             [1.0, -1.0, 0.0]]])
+        images = np.array([[1.0, 0.0, 1.0]])
+        (stacked[0, 0] if operand == "cue" else images[0])[:] = [1e200, 0.0, 0.0]
+        with pytest.raises(InvalidInputError, match="overflows"):
+            score_cues(stacked, images)
+
+
 class TestUncertainty:
     def test_zero_variance(self):
         for agr in (0.0, 0.5, 1.0):
@@ -347,6 +358,7 @@ class TestCueTable:
         (2, {"variants": [[1.0, 0.0], [0.0, 1e-170]]}, "zero norm"),
         (3, {"positive": [math.inf, 0.0]}, "finite"),
         (3, {"option_id": 0}, "second cue record"),
+        (3, {"negative": [1e200, 0.0]}, "overflows"),
     ])
     def test_bad_record_names_file_and_line(self, tmp_path, line, edit, words):
         records = [{"dim": 2, "version": 1}] + [

@@ -307,6 +307,20 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 3: .*zero norm"):
             load_dataset(tmp_path / "train.jsonl", load_cue_table(tmp_path / "cues.jsonl"))
 
+    def test_overflowing_input_norm_with_cues_rejected_at_its_line(self, config, tmp_path):
+        from semroute.cues import load_cue_table, save_cue_table
+        from semroute.data import cue_table_from_samples
+        samples, _ = generate_dataset(config, seed=0)
+        save_dataset(samples[:3], tmp_path / "train.jsonl")
+        save_cue_table(cue_table_from_samples(samples[:3], config.d), tmp_path / "cues.jsonl")
+        lines = (tmp_path / "train.jsonl").read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]),
+                               "input_emb": [1e200] + [0.0] * (config.d - 1)})
+        (tmp_path / "train.jsonl").write_text("\n".join(lines) + "\n")
+        load_dataset(tmp_path / "train.jsonl")  # without cues nothing divides by its norm
+        with pytest.raises(DataError, match="line 4: .*overflows"):
+            load_dataset(tmp_path / "train.jsonl", load_cue_table(tmp_path / "cues.jsonl"))
+
     def test_mixed_variant_counts_score_as_one_set_at_a_time(self, config, tmp_path, rng):
         from semroute.cues import CueSet, load_cue_table, save_cue_table, score_cue_set
         from semroute.data import cue_table_from_samples
