@@ -177,10 +177,24 @@ def tanh(a) -> Tensor:
     return _attach(out, (a,), backward)
 
 
-def softmax_rows(z) -> Tensor:
-    """Row-wise max-subtracted softmax over the last axis."""
+def softmax_rows(z, index=None) -> Tensor:
+    """Row-wise max-subtracted softmax over the last axis. Given an integer
+    `index` (..., K) of distinct entries per row, broadcast against z's
+    leading axes, it is the softmax over the K entries each row picks
+    (as `np.take_along_axis` picks them), (..., K), and the gradient flows
+    back to them."""
     z = _as_tensor(z)
-    return _softmax(z, z.value)
+    if index is None:
+        return _softmax(z, z.value)
+    index = np.asarray(index)
+    if index.ndim != z.value.ndim or index.dtype.kind not in "iu":
+        raise ShapeError("index must be an integer array with one axis per logit axis")
+    if index.size and not (index.min() >= 0 and index.max() < z.value.shape[-1]):
+        raise InvalidInputError("index entries must pick columns of the logits")
+    lead = z.value.shape[:-1]  # one broadcasting range per leading axis, then the index
+    pick = tuple(np.arange(n).reshape((n,) + (1,) * (len(lead) - i))
+                 for i, n in enumerate(lead)) + (index,)
+    return _softmax(z, z.value[pick], pick)
 
 
 def masked_softmax_rows(z, mask) -> Tensor:
@@ -194,15 +208,20 @@ def masked_softmax_rows(z, mask) -> Tensor:
     return _softmax(z, np.where(mask, z.value, -np.inf))
 
 
-def _softmax(z, logits):
-    """Softmax of z's `logits`, masked entries at -inf; gradient flows to z."""
+def _softmax(z, logits, pick=None):
+    """Softmax of z's `logits`, masked entries at -inf, or of the entries
+    z.value[pick]; the gradient flows back to z."""
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def backward(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        z.grad += y * (g - inner)  # y is zero off-mask, so grad is too
+        gz = y * (g - inner)  # y is zero off-mask, so grad is too
+        if pick is not None:
+            picked, gz = gz, np.zeros(z.value.shape)
+            gz[pick] = picked
+        z.grad += gz
 
     return _attach(out, (z,), backward)
 
@@ -282,33 +301,65 @@ def kl_rows(p, q) -> Tensor:
     return _attach(out, (q,), backward)
 
 
-def experts(x, w1, b1, w2, b2) -> Tensor:
-    """E two-layer tanh perceptrons applied to the same (B, d) rows, as one
-    node: tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e] for w1 (E, d, h),
-    b1 (E, h), w2 (E, h, d) and b2 (E, d), stacked as (B, E, d)."""
+def experts(x, w1, b1, w2, b2, topk=None) -> Tensor:
+    """E two-layer tanh perceptrons tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e],
+    for w1 (E, d, h), b1 (E, h), w2 (E, h, d) and b2 (E, d), as one node
+    over the (B, d) rows x, each expert run only on the rows routed to it.
+    `topk` (B, K) holds K distinct experts for each row; output [b, k] is
+    expert topk[b, k] on row b, (B, K, d). Without `topk` every row goes to
+    every expert: (B, E, d).
+
+    The (row, slot) pairs are dispatched into one (E, C, d) buffer, padded
+    with zero rows, where C is the most rows any one expert gets, so the
+    matmuls and the tanh run on C rows per expert instead of B."""
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     n, d, h = w1.value.shape if w1.value.ndim == 3 else (-1, -1, -1)
     if (x.value.ndim != 2 or x.value.shape[1] != d
             or [t.value.shape for t in (b1, w2, b2)] != [(n, h), (n, h, d), (n, d)]):
         raise ShapeError("experts expects x (B, d), w1 (E, d, h), b1 (E, h), "
                          "w2 (E, h, d) and b2 (E, d)")
-    hidden = np.tanh(x.value @ w1.value + b1.value[:, None, :])      # (E, B, h)
-    y = hidden @ w2.value + b2.value[:, None, :]                       # (E, B, d)
-    out = Tensor(np.ascontiguousarray(y.transpose(1, 0, 2)))
+    rows = np.arange(x.value.shape[0])[:, None]
+    if topk is None:
+        topk = np.broadcast_to(np.arange(n), (rows.size, n))
+    topk = np.asarray(topk)
+    if (topk.ndim != 2 or topk.shape[0] != rows.size or topk.shape[1] == 0
+            or topk.dtype.kind not in "iu"):
+        raise ShapeError("topk must be a (B, K) integer array, K >= 1")
+    if topk.size and not (topk.min() >= 0 and topk.max() < n):
+        raise InvalidInputError(f"topk holds an expert id outside [0, {n})")
+    routed = np.zeros((rows.size, n), dtype=bool)
+    routed[rows, topk] = True
+    if np.count_nonzero(routed) != topk.size:
+        raise InvalidInputError("a row of topk holds an expert twice")
+    slot = np.cumsum(routed, axis=0)                        # rows routed to e up to b
+    capacity = int(slot[-1].max()) if rows.size else 0
+    flat = topk * capacity + slot[rows, topk] - 1           # (B, K) rows of the buffer
+    xb = np.zeros((n * capacity, d))
+    xb[flat] = x.value[:, None, :]
+    xb = xb.reshape(n, capacity, d)
+    hidden = xb @ w1.value
+    hidden += b1.value[:, None, :]
+    np.tanh(hidden, out=hidden)                             # (E, C, h)
+    y = hidden @ w2.value
+    y += b2.value[:, None, :]                               # (E, C, d)
+    out = Tensor(np.take(y.reshape(-1, d), flat, axis=0))
 
     def backward(g):
-        g = np.ascontiguousarray(g.transpose(1, 0, 2))                 # (E, B, d)
+        gb = np.zeros((n * capacity, d))
+        gb[flat] = g
+        gb = gb.reshape(n, capacity, d)
         if b2.grad is not None:
-            b2.grad += g.sum(axis=1)
+            b2.grad += gb.sum(axis=1)
         if w2.grad is not None:
-            w2.grad += np.swapaxes(hidden, 1, 2) @ g
-        g_pre = (g @ np.swapaxes(w2.value, 1, 2)) * (1.0 - hidden * hidden)  # (E, B, h)
+            w2.grad += np.swapaxes(hidden, 1, 2) @ gb
+        g_pre = (gb @ np.swapaxes(w2.value, 1, 2)) * (1.0 - hidden * hidden)  # (E, C, h)
         if b1.grad is not None:
             b1.grad += g_pre.sum(axis=1)
         if w1.grad is not None:
-            w1.grad += x.value.T @ g_pre
+            w1.grad += np.swapaxes(xb, 1, 2) @ g_pre
         if x.grad is not None:
-            x.grad += (g_pre @ np.swapaxes(w1.value, 1, 2)).sum(axis=0)
+            g_x = g_pre @ np.swapaxes(w1.value, 1, 2)
+            x.grad += np.take(g_x.reshape(-1, d), flat, axis=0).sum(axis=1)
 
     return _attach(out, (x, w1, b1, w2, b2), backward)
 

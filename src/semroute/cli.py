@@ -156,7 +156,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    config = _load_config(args.config, seed=args.seed)
+    config = _load_config(args.config, seed=args.seed, ablate=args.ablate)
     model = Model.load(args.checkpoint)
     eval_set = _load_split(Path(args.data_dir), "eval", config)
     out_dir = Path(args.out_dir)
@@ -236,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--mode", choices=["teacher", "student"], default="student")
+    p.add_argument("--ablate", default="")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")

@@ -2,10 +2,11 @@
 
 Builds the whole routing/scoring/loss graph on the autodiff tape for a
 `Batch`, the columnar record of a list of samples gathered once. The E
-experts are one fused tape node over the stacked expert blocks. The same
-forward, run over plain parameter arrays, evaluates whole splits in either
-routing mode. Values agree with the per-sample reference in `scoring`;
-gradients are validated against the finite-difference oracle in `numerics`.
+experts are one fused tape node over the stacked expert blocks, each run
+only on the rows routed to it. The same forward, run over plain parameter
+arrays, evaluates whole splits in either routing mode. Values agree with
+the per-sample reference in `scoring`; gradients are validated against
+the finite-difference oracle in `numerics`.
 """
 from __future__ import annotations
 
@@ -119,11 +120,14 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     on the base logits and takes each option's direction from its text
     embedding; it never reads a cue. The ablation flags of `config` act
     here and in `batch_loss` only. Over plain arrays nothing is put on the
-    tape.
+    tape. Each expert runs only on the rows whose Top-K set holds it
+    (`autodiff.experts`), and each option's gates are a softmax over the
+    sample's K selected logits, (B, J, K), that mix the (B, K, d) outputs.
 
-    `routing` holds the (B, E) Top-K mask, the teacher and student gates
-    (the same tensor when routing is unguided) and the (B, E, d) stacked
-    expert outputs. `frozen` optionally pins {"topk_mask", "distill_target"}
+    `routing` holds the (B, K) Top-K expert ids, ascending per row, the
+    same choice as a (B, E) mask, the teacher and student gates (the same
+    tensor when routing is unguided) and the (B, K, d) outputs of the
+    selected experts. `frozen` optionally pins {"topk_mask", "distill_target"}
     so a finite-difference probe differentiates the same function the
     analytic backward pass sees (Top-K selection is discrete; the
     distillation target is a constant within a step by definition).
@@ -153,9 +157,10 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     mask = frozen.get("topk_mask")
     if mask is None:
         mask = _topk_mask(g_route.value, config.k)
+    topk = np.nonzero(mask)[1].reshape(mask.shape[0], -1)  # (B, K), ascending per row
 
     experts = ad.experts(x, tensors["experts_w1"], tensors["experts_b1"],
-                         tensors["experts_w2"], tensors["experts_b2"])  # (B, E, d)
+                         tensors["experts_w2"], tensors["experts_b2"], topk)  # (B, K, d)
 
     # every option reweights the same Top-K experts with its own direction
     logits = ad.expand(z_route, n_options)  # (B, J, E)
@@ -163,11 +168,12 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
         direction = np.subtract(*_cue_pairs(batch)) if cue_directions else text
         s_j = ad.matmul(direction, tensors["semantic"])
         logits = ad.add(logits, ad.scale(s_j, config.lambda_o))
-    gates = ad.masked_softmax_rows(logits, np.broadcast_to(mask[:, None, :], logits.shape))
+    gates = ad.softmax_rows(logits, index=topk[:, None, :])  # (B, J, K)
     reps = ad.mix(gates, experts)
     scores = ad.cosine_rows(reps, text)
 
     routing = {
+        "topk": topk,
         "topk_mask": mask,
         "teacher_gate": g_route,
         "student_gate": g_student,

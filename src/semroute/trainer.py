@@ -235,10 +235,10 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
     """Accuracy, mean Sim and the routing decisions over a dataset.
 
     One tape-free run of `graph.forward_options` scores the whole split.
-    Sim pairs the mode's full gate, restricted to the Top-K mask, with the
-    expert outputs of the same forward; it averages over the samples whose
-    correct option has cues and is NaN when none has. `topk_mask` and
-    `gate` are the (N, E) routing decisions.
+    Sim pairs the mode's gate over the K selected experts, renormalised,
+    with their (N, K, d) outputs from the same forward; it averages over
+    the samples whose correct option has cues and is NaN when none has.
+    `topk_mask` and `gate` are the (N, E) routing decisions.
     """
     dims = (model.d, model.n_experts, model.k, model.hidden)
     if dims != (config.d, config.n_experts, config.k, config.hidden):
@@ -247,23 +247,23 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
     # student mode never reads a cue, so it gathers none
     batch = _gather(dataset, model.d, cues=mode == "teacher")
     scores, _, routing = graph.forward_options(model.blocks, batch, config, mode=mode)
-    mask = routing["topk_mask"]
     gate = routing[f"{mode}_gate"].value
 
     correct_cues = [s.options[s.correct][1] for s in dataset]
     cued = [i for i, cs in enumerate(correct_cues) if cs is not None]
     sim_mean = float("nan")
     if cued:
-        directions = np.stack([correct_cues[i].positive - correct_cues[i].negative
-                               for i in cued])
-        restricted = np.where(mask[cued], gate[cued], 0.0)
-        restricted /= restricted.sum(axis=1, keepdims=True)
-        sim_mean = float(np.mean(sim_score(routing["experts"][cued], restricted, directions)))
+        cue_sets = [correct_cues[i] for i in cued]
+        directions = (np.concatenate([cs.positive for cs in cue_sets])
+                      - np.concatenate([cs.negative for cs in cue_sets])).reshape(len(cued), -1)
+        selected = np.take_along_axis(gate[cued], routing["topk"][cued], axis=1)
+        selected /= selected.sum(axis=1, keepdims=True)
+        sim_mean = float(np.mean(sim_score(routing["experts"][cued], selected, directions)))
     return {
         "accuracy": (int(np.count_nonzero(np.argmax(scores.value, axis=1) == batch.correct))
                      / len(dataset)),
         "sim_mean": sim_mean,
-        "topk_mask": mask,
+        "topk_mask": routing["topk_mask"],
         "gate": gate,
     }
 

@@ -2,6 +2,8 @@
 finite-difference oracle in `numerics`."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semroute import autodiff as ad
 from semroute.errors import InvalidInputError, ShapeError
@@ -104,6 +106,13 @@ class TestOpGradients:
                                              ad.constant(_coeff((4, 5))))),
                  {"z": (4, 5)})
 
+    def test_softmax_rows_over_picked_columns(self):
+        # (B, J, E) logits, each row's K columns picked by a (B, 1, K) index
+        index = np.array([[[0, 3]], [[1, 2]], [[2, 4]]])
+        check_op(lambda t: ad.sum_all(ad.mul(ad.softmax_rows(t["z"], index=index),
+                                             ad.constant(_coeff((3, 2, 2))))),
+                 {"z": (3, 2, 5)})
+
     def test_matmul_leading_axes(self):
         check_op(lambda t: ad.sum_all(ad.tanh(ad.matmul(t["x"], t["w"]))),
                  {"x": (2, 4, 3), "w": (3, 5)})
@@ -142,25 +151,9 @@ class TestOpGradients:
 
     @pytest.mark.parametrize("n_experts, hidden", [(3, 4), (1, 4), (3, 1), (1, 1)])
     def test_experts(self, n_experts, hidden):
-        # gradient into the input and all four blocks, at the gradcheck tolerance
-        b, d = 5, 4
-        shapes = {"x": (b, d), "w1": (n_experts, d, hidden), "b1": (n_experts, hidden),
-                  "w2": (n_experts, hidden, d), "b2": (n_experts, d)}
+        # every row on every expert: gradients at the gradcheck tolerance
         rng = np.random.default_rng(n_experts * 10 + hidden)
-        values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-        coeff = ad.constant(_coeff((b, n_experts, d)))
-
-        def build(t):
-            out = ad.experts(t["x"], t["w1"], t["b1"], t["w2"], t["b2"])
-            return ad.sum_all(ad.mul(ad.tanh(out), coeff))
-
-        tensors = {name: ad.parameter(v) for name, v in values.items()}
-        build(tensors).backward()
-        numeric = finite_difference_gradient(
-            lambda params: float(build({n: ad.constant(v) for n, v in params.items()}).value),
-            values)
-        for name in shapes:
-            assert relative_error(tensors[name].grad, numeric[name]) <= REL_TOL, name
+        check_experts_gradients(rng, 5, n_experts, 4, hidden)
 
     def test_stack_cols(self):
         check_op(lambda t: ad.sum_all(ad.tanh(ad.stack_cols([t["a"], t["b"]]))),
@@ -189,6 +182,22 @@ class TestOpValues:
         np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
         # restricted softmax equals softmax of the restricted logits
         np.testing.assert_allclose(y[0, :2], softmax(z[0, :2]), atol=1e-12)
+
+    def test_softmax_of_picked_columns_equals_masked_softmax(self, rng):
+        z = rng.standard_normal((3, 2, 6))
+        index = np.array([[[1, 4]], [[0, 5]], [[2, 3]]])
+        mask = np.zeros(z.shape, dtype=bool)
+        np.put_along_axis(mask, index, True, axis=-1)
+        picked = ad.softmax_rows(ad.constant(z), index=index).value
+        masked = ad.masked_softmax_rows(ad.constant(z), mask).value
+        np.testing.assert_array_equal(picked, np.take_along_axis(masked, index, axis=-1))
+
+    @pytest.mark.parametrize("index, error", [
+        (np.array([[0, 6]]), InvalidInputError), (np.array([[-1, 2]]), InvalidInputError),
+        (np.array([0, 2]), ShapeError), (np.array([[0.0, 2.0]]), ShapeError)])
+    def test_softmax_index_guard(self, index, error):
+        with pytest.raises(error):
+            ad.softmax_rows(ad.constant(np.ones((2, 6))), index=index)
 
     def test_masked_softmax_rejects_empty_row(self):
         with pytest.raises(InvalidInputError):
@@ -226,6 +235,19 @@ class TestOpValues:
             with pytest.raises(ShapeError):
                 ad.experts(*map(ad.constant, bad))
 
+    @pytest.mark.parametrize("topk, error", [
+        (np.array([[0, 1], [1, 1]]), InvalidInputError),   # an expert twice in a row
+        (np.array([[0, 3], [0, 1]]), InvalidInputError),   # no expert 3
+        (np.array([[-1, 0], [0, 1]]), InvalidInputError),
+        (np.array([[0, 1]]), ShapeError),                  # one row of two
+        (np.zeros((2, 0), dtype=int), ShapeError),
+        (np.array([[0.0, 1.0], [0.0, 1.0]]), ShapeError)])
+    def test_experts_topk_guard(self, topk, error):
+        x, w1, b1 = np.ones((2, 4)), np.ones((3, 4, 5)), np.ones((3, 5))
+        w2, b2 = np.ones((3, 5, 4)), np.ones((3, 4))
+        with pytest.raises(error):
+            ad.experts(*map(ad.constant, (x, w1, b1, w2, b2)), topk)
+
     def test_kl_rows_underflowed_q_is_infinite_loss(self):
         # a student gate that underflowed to zero where the target is not is
         # an infinite loss (reported as divergence), not an exception
@@ -246,6 +268,81 @@ class TestOpValues:
         sq = ad.mul(x, x)
         ad.sum_all(ad.add(sq, sq)).backward()
         assert x.grad[0] == pytest.approx(8.0)
+
+
+def _routing(b, n_experts, k, layout, rng):
+    """A (B, K) table of ascending expert ids per row. `shared`: every row
+    picks the same experts, so each of them gets all B rows (C = B);
+    `idle`: no row picks the last expert (when K < E); `random`: each row
+    picks its own."""
+    pool = n_experts - 1 if layout == "idle" and k < n_experts else n_experts
+    if layout == "shared":
+        return np.tile(np.sort(rng.permutation(pool)[:k]), (b, 1))
+    return np.sort([rng.permutation(pool)[:k] for _ in range(b)], axis=1)
+
+
+def _exact_blocks(rng, b, n_experts, d, hidden):
+    """x and expert blocks whose outputs come out the same in every
+    summation order, with or without fused multiply-adds: integer x, w1
+    and b1 make x @ w1 + b1 exact, and a w2 with one signed power of two
+    per column makes each output one exact product of a hidden unit."""
+    x, w1, b1 = (rng.integers(-3, 4, shape).astype(float)
+                 for shape in ((b, d), (n_experts, d, hidden), (n_experts, hidden)))
+    w2 = np.zeros((n_experts, hidden, d))
+    w2[np.arange(n_experts)[:, None], rng.integers(0, hidden, (n_experts, d)),
+       np.arange(d)] = rng.choice([-2.0, -0.5, 0.5, 1.0, 4.0], (n_experts, d))
+    return x, w1, b1, w2, rng.standard_normal((n_experts, d))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(b=st.integers(1, 6), n_experts=st.integers(1, 5), k=st.integers(1, 5),
+       layout=st.sampled_from(["random", "shared", "idle"]), d=st.integers(1, 4),
+       hidden=st.integers(1, 4), seed=st.integers(0, 2**16))
+@example(b=5, n_experts=4, k=2, layout="idle", d=3, hidden=3, seed=0)    # an idle expert
+@example(b=5, n_experts=3, k=1, layout="shared", d=3, hidden=2, seed=1)  # all rows on one, C = B
+@example(b=4, n_experts=3, k=3, layout="random", d=2, hidden=3, seed=2)  # K = E
+@example(b=1, n_experts=4, k=2, layout="random", d=3, hidden=2, seed=3)  # B = 1
+def test_dispatched_experts_match_dense_reference(b, n_experts, k, layout, d, hidden, seed):
+    """Each (row, slot) output is its expert on its row, bit for bit, and
+    the gradients of x and all four blocks match finite differences."""
+    k = min(k, n_experts)
+    rng = np.random.default_rng(seed)
+    topk = _routing(b, n_experts, k, layout, rng)
+
+    x, w1, b1, w2, b2 = _exact_blocks(rng, b, n_experts, d, hidden)
+    out = ad.experts(*map(ad.constant, (x, w1, b1, w2, b2)), topk).value
+    assert out.shape == (b, k, d)
+    for row in range(b):
+        for slot, e in enumerate(topk[row]):
+            np.testing.assert_array_equal(out[row, slot],
+                                          np.tanh(x[row] @ w1[e] + b1[e]) @ w2[e] + b2[e])
+
+    grads = check_experts_gradients(rng, b, n_experts, d, hidden, topk)
+    idle = np.setdiff1d(np.arange(n_experts), topk)
+    for name in ("w1", "b1", "w2", "b2"):  # an expert no row picks gets no gradient
+        assert not grads[name][idle].any(), name
+
+
+def check_experts_gradients(rng, b, n_experts, d, hidden, topk=None):
+    """Tape gradients of x and the four expert blocks, drawn from `rng`,
+    against finite differences at the gradcheck tolerance; returns them."""
+    shapes = {"x": (b, d), "w1": (n_experts, d, hidden), "b1": (n_experts, hidden),
+              "w2": (n_experts, hidden, d), "b2": (n_experts, d)}
+    values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    coeff = ad.constant(_coeff((b, n_experts if topk is None else topk.shape[1], d)))
+
+    def build(t):
+        out = ad.experts(t["x"], t["w1"], t["b1"], t["w2"], t["b2"], topk)
+        return ad.sum_all(ad.mul(ad.tanh(out), coeff))
+
+    tensors = {name: ad.parameter(v) for name, v in values.items()}
+    build(tensors).backward()
+    numeric = finite_difference_gradient(
+        lambda params: float(build({n: ad.constant(v) for n, v in params.items()}).value),
+        values)
+    for name in shapes:
+        assert relative_error(tensors[name].grad, numeric[name]) <= REL_TOL, name
+    return {name: t.grad for name, t in tensors.items()}
 
 
 def _coeff(shape):

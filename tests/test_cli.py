@@ -130,6 +130,35 @@ class TestTrainEvalDiagnose:
         assert (out_dir / "heatmap.csv").exists()
         assert "sharpness=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ablate, mode", [("no_sj", "student"), ("no_sa", "teacher")])
+    def test_diagnose_applies_ablation_like_eval(self, workspace, trained, tmp_path, capsys,
+                                                 ablate, mode):
+        # diagnose describes the router that eval scores under the same flags
+        _, _, config_path, data_dir = workspace
+        common = ["--config", str(config_path), "--checkpoint", str(trained / "checkpoint.npz"),
+                  "--data-dir", str(data_dir), "--mode", mode]
+        sims = []
+        for flags in (["--ablate", ablate], []):
+            assert cli.main(["eval", *common, *flags]) == cli.EXIT_OK
+            assert cli.main(["diagnose", *common, *flags,
+                             "--out-dir", str(tmp_path / "diag")]) == cli.EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            sims.append([line.split("sim=")[1].split()[0] for line in lines])
+        (eval_sim, diagnose_sim), unablated = sims
+        assert diagnose_sim == eval_sim
+        if ablate == "no_sa":  # the teacher gate without the cue direction
+            assert unablated[1] != diagnose_sim
+
+    def test_diagnose_unknown_ablation_is_usage_error(self, workspace, trained, tmp_path,
+                                                      capsys):
+        _, _, config_path, data_dir = workspace
+        code = cli.main(["diagnose", "--config", str(config_path),
+                         "--checkpoint", str(trained / "checkpoint.npz"),
+                         "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "diag"),
+                         "--ablate", "no_such"])
+        assert code == cli.EXIT_USAGE
+        assert "unknown ablation flags: ['no_such']" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_single_cell_grid(self, workspace, tmp_path, capsys):

@@ -159,11 +159,14 @@ class TestSpanProperty:
         config, model, batch = setup
         tensors = graph.parameter_tensors(model)
         _, reps, routing = graph.forward_options(tensors, graph.Batch.of(batch), config)
-        stacked = routing["experts"]  # (B, E, d)
         mask = routing["topk_mask"]
+        for row in range(len(batch)):
+            # the (B, K) expert ids are ascending and are the mask's columns
+            np.testing.assert_array_equal(routing["topk"][row], np.flatnonzero(mask[row]))
+            assert (np.diff(routing["topk"][row]) > 0).all()
         for oid in range(len(batch[0].options)):
             for row in range(len(batch)):
-                basis = stacked[row][mask[row]].T  # (d, K)
+                basis = routing["experts"][row].T  # (d, K): the selected experts' outputs
                 target = reps.value[row, oid]
                 coeffs = np.linalg.lstsq(basis, target, rcond=None)[0]
                 misfit = basis @ coeffs - target
