@@ -4,7 +4,7 @@ and the JSONL cue file used to cache cues across runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,30 +24,32 @@ from .numerics import numeric_array, squared_norms
 
 @dataclass
 class CueSet:
-    """Positive/negative cue embeddings plus paraphrase variants.
+    """One option's cues as a float64 (2+V, d) `block`: the positive cue, the
+    negative cue, then V paraphrase variants. `positive`, `negative` and
+    `variants` are read-only views of those rows; a float64 block is not copied.
 
     Agreement, variance and uncertainty are unset (None) until the cue set
     is scored against an image embedding.
     """
 
-    positive: np.ndarray
-    negative: np.ndarray
-    variants: list = field(default_factory=list)
+    block: np.ndarray
     agreement: float | None = None
     variance: float | None = None
     uncertainty: float | None = None
 
     def __post_init__(self):
-        self.positive = np.asarray(self.positive, dtype=np.float64)
-        self.negative = np.asarray(self.negative, dtype=np.float64)
-        self.variants = [np.asarray(v, dtype=np.float64) for v in self.variants]
-        dims = {self.positive.shape, self.negative.shape} | {v.shape for v in self.variants}
-        if len(dims) != 1:
-            raise InvalidInputError(f"cue embeddings disagree on dimension: {dims}")
+        self.block = np.asarray(self.block, dtype=np.float64)
+        if self.block.ndim != 2 or self.block.shape[0] < 2:
+            raise InvalidInputError(f"a cue block must be (2+V, d) with a positive and a "
+                                    f"negative cue, got shape {self.block.shape}")
+
+    positive = property(lambda self: self.block[0])
+    negative = property(lambda self: self.block[1])
+    variants = property(lambda self: self.block[2:])
 
     @property
     def dim(self) -> int:
-        return self.positive.shape[0]
+        return self.block.shape[1]
 
 
 def score_cues(stacked, image_embs, only_variance: bool = False):
@@ -97,9 +99,9 @@ def uncertainty(agr, var, only_variance: bool = False):
 
 
 def score_cue_set(cue_set: CueSet, image_emb, only_variance: bool = False) -> CueSet:
-    """Return a copy with agreement/variance/uncertainty filled in."""
-    stacked = np.stack((cue_set.positive, cue_set.negative, *cue_set.variants))
-    agr, var, unc = score_cues(stacked[None], np.asarray(image_emb, dtype=np.float64)[None],
+    """Return a copy, sharing the cue block, with agreement/variance/uncertainty
+    filled in: `score_cues` of the block as a stack of one."""
+    agr, var, unc = score_cues(cue_set.block[None], np.asarray(image_emb, dtype=np.float64)[None],
                                only_variance=only_variance)
     return replace(cue_set, agreement=float(agr[0]), variance=float(var[0]),
                    uncertainty=float(unc[0]))
@@ -159,7 +161,7 @@ def synthesize_cues(concept_centroid, distractor_centroid, noise_scale, variant_
     of `draw_cue_block`'s cues."""
     block = draw_cue_block(concept_centroid, distractor_centroid, noise_scale,
                            variant_count, rng)
-    return CueSet(positive=block[0], negative=block[1], variants=list(block[2:]))
+    return CueSet(block)
 
 
 class CueTable:
@@ -197,22 +199,16 @@ class CueTable:
             return False
         if set(self._entries) != set(other._entries):
             return False
-        for key, mine in self._entries.items():
-            theirs = other._entries[key]
-            if not (np.array_equal(mine.positive, theirs.positive)
-                    and np.array_equal(mine.negative, theirs.negative)
-                    and len(mine.variants) == len(theirs.variants)
-                    and all(np.array_equal(a, b) for a, b in zip(mine.variants, theirs.variants))):
-                return False
-        return True
+        return all(np.array_equal(cs.block, other._entries[key].block)
+                   for key, cs in self._entries.items())
 
 
 def save_cue_table(table: CueTable, path):
     write_jsonl(path, {"dim": table.dim, "version": JSONL_VERSION},
-                ({"sample_id": sample_id, "option_id": option_id,
-                  "positive": cs.positive.tolist(), "negative": cs.negative.tolist(),
-                  "variants": [v.tolist() for v in cs.variants]}
-                 for (sample_id, option_id), cs in sorted(table.items())))
+                ({"sample_id": sample_id, "option_id": option_id, "positive": rows[0],
+                  "negative": rows[1], "variants": rows[2:]}
+                 for (sample_id, option_id), cs in sorted(table.items())
+                 for rows in [cs.block.tolist()]))  # one tolist() per block
 
 
 def _cue_record(record, dim: int):
@@ -260,11 +256,12 @@ def load_cue_table(path) -> CueTable:
                                f"{first_line[key]})")
         first_line[key] = lineno
         blocks.append(block)
-        table.put(*key, CueSet(positive=block[0], negative=block[1], variants=list(block[2:])))
-    # one pass over every embedding, with the squared norms scoring takes;
-    # the record at fault is looked up only on failure
-    rows = np.concatenate(blocks) if blocks else np.zeros((0, dim))
-    if not (np.isfinite(rows).all() and _scorable(squared_norms(rows))):
+        table.put(*key, CueSet(block))
+    # one pass over every embedding, with the squared norms scoring takes (a
+    # non-finite entry makes its norm non-finite too); the record at fault is
+    # looked up only on failure
+    sq_norms = squared_norms(np.concatenate(blocks) if blocks else np.zeros((0, dim)))
+    if not (np.isfinite(sq_norms).all() and sq_norms.all()):
         for lineno, block in zip(first_line.values(), blocks):
             if not np.isfinite(block).all():
                 raise CueFileError(f"{path} line {lineno}: cue embeddings must be finite")
@@ -275,8 +272,3 @@ def load_cue_table(path) -> CueTable:
             if not sq.all():
                 raise CueFileError(f"{path} line {lineno}: a cue embedding has zero norm")
     return table
-
-
-def _scorable(sq_norms) -> bool:
-    """Whether every squared norm is finite and non-zero, as scoring needs."""
-    return bool(np.isfinite(sq_norms).all() and sq_norms.all())

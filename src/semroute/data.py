@@ -53,7 +53,7 @@ def generate_dataset(config, seed: int):
     draws inside its sample, so the random stream is rewound to the first
     sample that holds one. From there every option's cues are drawn and
     scored on their own, by `synthesize_cues` and `regenerate_if_uncertain`.
-    The samples and cue sets are views of the arrays.
+    The samples' embeddings and the cue sets' blocks are views of the arrays.
     """
     rng = seeded_rng(seed)
     d, n_concepts, n_options = config.d, config.n_concepts, config.option_count
@@ -103,7 +103,7 @@ def generate_dataset(config, seed: int):
         cs = regenerate_if_uncertain(make_cues(), x[idx], threshold=config.unc_threshold,
                                      generator=make_cues, max_rounds=config.max_regen_rounds,
                                      only_variance=config.only_variance)
-        cues[idx, j] = (cs.positive, cs.negative, *cs.variants)
+        cues[idx, j] = cs.block
         agr[idx, j], var[idx, j], unc[idx, j] = cs.agreement, cs.variance, cs.uncertainty
 
     draw(0, into_arrays)
@@ -120,7 +120,7 @@ def generate_dataset(config, seed: int):
     samples = []
     for idx, (c, *scores) in enumerate(zip(concept_ids.tolist(), agr.tolist(), var.tolist(),
                                            unc.tolist())):
-        options = [(t, CueSet(block[0], block[1], list(block[2:]), *option_scores))
+        options = [(t, CueSet(block, *option_scores))
                    for t, block, *option_scores in zip(text[idx], cues[idx], *scores)]
         samples.append(Sample(sample_id=f"s{idx:05d}", input_emb=x[idx], options=options,
                               correct=correct[idx], category=f"c{c}"))
@@ -145,8 +145,8 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
     embeddings of one dimension, that of the cue table too: batched training
     and evaluation stack them into arrays. An input embedding with cues must
     have a non-zero squared norm that fits in float64. Every record is
-    parsed first; then all cue sets are scored in one `score_cues` call per
-    variant count.
+    parsed first; then the cue sets are scored in one `score_cues` call per
+    cue block shape, over their stacked blocks.
     """
     records = read_jsonl(path, DataError)
     _, header = next(records)
@@ -156,7 +156,7 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
                         f"got {count!r}")
     samples = []
     first_line = {}
-    by_variants = {}  # variant count -> [(sample, option id, cue set)]
+    by_shape = {}  # cue block shape -> [(sample, option id, cue set)]
     for lineno, rec in records:
         try:
             sample_id, correct, category = rec["sample_id"], rec["correct"], rec["category"]
@@ -199,7 +199,7 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
                     if not sq_norm:
                         raise DataError("an input embedding with cues must not have zero norm")
                 for oid, cs in cued:
-                    by_variants.setdefault(len(cs.variants), []).append((samples[-1], oid, cs))
+                    by_shape.setdefault(cs.block.shape, []).append((samples[-1], oid, cs))
         # ValueError includes ragged or non-numeric arrays and the
         # DataError raised above
         except (KeyError, TypeError, ValueError) as exc:
@@ -207,8 +207,8 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
         first_line[sample_id] = lineno
     if count != len(samples):
         raise DataError(f"{path}: the header counts {count} samples, the file holds {len(samples)}")
-    for group in by_variants.values():
-        stacked = np.array([(cs.positive, cs.negative, *cs.variants) for *_, cs in group])
+    for group in by_shape.values():
+        stacked = np.stack([cs.block for *_, cs in group])
         inputs = np.array([sample.input_emb for sample, *_ in group])
         scores = score_cues(stacked, inputs, only_variance=only_variance)
         for (sample, oid, cs), agr, var, unc in zip(group, *(a.tolist() for a in scores)):
@@ -222,5 +222,5 @@ def cue_table_from_samples(samples, dim: int) -> CueTable:
     for s in samples:
         for oid, (_, cs) in enumerate(s.options):
             if cs is not None:
-                table.put(s.sample_id, oid, CueSet(cs.positive, cs.negative, cs.variants))
+                table.put(s.sample_id, oid, CueSet(cs.block))
     return table

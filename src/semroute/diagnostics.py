@@ -5,8 +5,6 @@ All outputs are plain CSV; plotting is left to external tools.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import DegenerateVectorError, InvalidInputError, InvalidRoutingError
@@ -83,14 +81,6 @@ def selection_heatmap(categories, topk_mask):
 def write_heatmap_csv(path, categories, matrix):
     write_csv(path, ["category"] + [f"expert{i}" for i in range(matrix.shape[1])],
               ([c] + [repr(float(v)) for v in row] for c, row in zip(categories, matrix)))
-
-
-def read_heatmap_csv(path):
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    categories = [r[0] for r in rows[1:]]
-    matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return categories, matrix
 
 
 def write_diagnostics_csv(path, run_id, per_category, sim_mean, sharpness_by_category):

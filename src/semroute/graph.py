@@ -51,7 +51,8 @@ class Batch(NamedTuple):
     @classmethod
     def of(cls, samples, cues: bool = True) -> "Batch":
         """Gather a list of `Sample`s once. One concatenate is several
-        times faster than `np.stack` on many small vectors."""
+        times faster than `np.stack` on many small vectors; it gathers each
+        option's cue pair as the first two rows of its (2+V, d) cue block."""
         if not samples:
             raise DataError("the dataset holds no samples")
         n, n_options = len(samples), len(samples[0].options)
@@ -62,12 +63,11 @@ class Batch(NamedTuple):
         if not cues:
             return cls(ids, x, text, correct, np.zeros((n, n_options), dtype=bool))
         sets = [cs for s in samples for _, cs in s.options]
-        absent = np.zeros(x.shape[1])
-        pos = np.concatenate([absent if cs is None else cs.positive for cs in sets])
-        neg = np.concatenate([absent if cs is None else cs.negative for cs in sets])
+        absent = np.zeros((2, x.shape[1]))
+        pairs = np.concatenate([absent if cs is None else cs.block[:2] for cs in sets])
         return cls(ids, x, text, correct,
                    np.array([cs is not None for cs in sets]).reshape(n, n_options),
-                   pos.reshape(text.shape), neg.reshape(text.shape),
+                   pairs[0::2].reshape(text.shape), pairs[1::2].reshape(text.shape),
                    np.array([0.0 if cs is None else cs.uncertainty for cs in sets])
                    .reshape(n, n_options))
 

@@ -135,6 +135,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        if not isinstance(data, dict):
+            raise DataError(f"a config must be a JSON object of fields, got {data!r:.40}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -253,9 +255,8 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
     cued = [i for i, cs in enumerate(correct_cues) if cs is not None]
     sim_mean = float("nan")
     if cued:
-        cue_sets = [correct_cues[i] for i in cued]
-        directions = (np.concatenate([cs.positive for cs in cue_sets])
-                      - np.concatenate([cs.negative for cs in cue_sets])).reshape(len(cued), -1)
+        pairs = np.concatenate([correct_cues[i].block[:2] for i in cued])
+        directions = pairs[0::2] - pairs[1::2]
         selected = np.take_along_axis(gate[cued], routing["topk"][cued], axis=1)
         selected /= selected.sum(axis=1, keepdims=True)
         sim_mean = float(np.mean(sim_score(routing["experts"][cued], selected, directions)))

@@ -30,9 +30,8 @@ def random_sample_factory(model, rng, n_options=4):
         for _ in range(n_options):
             pos = rng.standard_normal(d)
             neg = rng.standard_normal(d)
-            cues = CueSet(positive=pos, negative=neg,
-                          variants=[pos + 0.05 * rng.standard_normal(d)
-                                    for _ in range(3)])
+            cues = CueSet(np.stack([pos, neg, *(pos + 0.05 * rng.standard_normal(d)
+                                                for _ in range(3))]))
             options.append((rng.standard_normal(d), score_cue_set(cues, input_emb)))
         return Sample(sample_id="r", input_emb=input_emb, options=options,
                       correct=int(rng.integers(n_options)), category="r")

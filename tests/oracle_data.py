@@ -18,8 +18,8 @@ def synthesize_cues(centroid, distractor, noise_scale, variant_count, rng) -> Cu
     noise = rng.standard_normal((2 + variant_count, centroid.shape[0]))
     noise *= noise_scale
     positive = centroid + noise[0]
-    return CueSet(positive=positive, negative=distractor + noise[1],
-                  variants=[positive + row for row in noise[2:]])
+    return CueSet(np.stack([positive, distractor + noise[1],
+                            *(positive + row for row in noise[2:])]))
 
 
 def generate_dataset_oracle(config, seed: int):

@@ -236,6 +236,17 @@ class TestExitCodes:
         assert cli.main(["gradcheck", "--config", str(bad)]) == cli.EXIT_USAGE
         assert "no_such_field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['"abc"', "[1, 2]", "5", "null"],
+                             ids=["string", "list", "number", "null"])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert cli.main(["gen-data", "--config", str(bad),
+                         "--out-dir", str(tmp_path / "data")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must be a JSON object" in err
+        assert "Traceback" not in err
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["gradcheck", "--config",
                          str(tmp_path / "missing.json")]) == cli.EXIT_USAGE

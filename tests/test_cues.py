@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semroute import cues
 from semroute.cues import (
     CueSet,
     CueTable,
@@ -40,12 +41,13 @@ IMAGE = np.array([1.0, 0.0])
 
 def agreement(image, positive, negative):
     """Agreement of a cue set whose two variants do not affect it."""
-    return score_cue_set(CueSet(positive, negative, [positive, negative]), image).agreement
+    return score_cue_set(CueSet(np.stack([positive, negative, positive, negative])),
+                         image).agreement
 
 
 def cue_variance(image, variants):
     """Variance of a cue set whose positive and negative cues do not affect it."""
-    return score_cue_set(CueSet(image, image, variants), image).variance
+    return score_cue_set(CueSet(np.stack([image, image, *variants])), image).variance
 
 
 def scalar_scores(image, positive, negative, variants, only_variance):
@@ -113,8 +115,8 @@ class TestScoreCues:
         stacked, images = rng.standard_normal((5, 6, 8)), rng.standard_normal((5, 8))
         batch = score_cues(stacked, images)
         for i in range(5):
-            one = score_cue_set(CueSet(stacked[i, 0], stacked[i, 1], list(stacked[i, 2:])),
-                                images[i])
+            one = score_cue_set(CueSet(np.stack([stacked[i, 0], stacked[i, 1],
+                                                 *stacked[i, 2:]])), images[i])
             assert (one.agreement, one.variance, one.uncertainty) == \
                 tuple(float(s[i]) for s in batch)
             assert type(one.agreement) is float
@@ -183,22 +185,33 @@ class TestUncertainty:
 
 class TestScoreCueSet:
     def test_populates_fields(self):
-        cs = CueSet(positive=unit_with_cos(0.8), negative=unit_with_cos(0.3),
-                    variants=[unit_with_cos(0.4), unit_with_cos(0.6)])
+        cs = CueSet(np.stack([unit_with_cos(0.8), unit_with_cos(0.3),
+                              unit_with_cos(0.4), unit_with_cos(0.6)]))
         scored = score_cue_set(cs, IMAGE)
         assert scored.agreement == pytest.approx(0.5, abs=1e-12)
         assert scored.variance == pytest.approx(0.02, abs=1e-12)
         assert scored.uncertainty == pytest.approx(0.02 / 1.5, abs=1e-12)
 
-    def test_dimension_consistency_enforced(self):
-        with pytest.raises(InvalidInputError):
-            CueSet(positive=np.ones(3), negative=np.ones(2))
+    def test_block_must_be_2d_with_two_rows(self):
+        for block in (np.ones(3), np.ones((1, 3)), np.ones((2, 2, 3))):
+            with pytest.raises(InvalidInputError):
+                CueSet(block)
+
+    def test_rows_are_views_of_the_block(self, rng):
+        block = rng.standard_normal((5, 3))
+        cs = CueSet(block)
+        assert cs.block is block
+        for view, rows in ((cs.positive, block[0]), (cs.negative, block[1]),
+                           (cs.variants, block[2:])):
+            assert view.base is block
+            np.testing.assert_array_equal(view, rows)
+        assert score_cue_set(cs, rng.standard_normal(3)).block is block
 
 
 class TestRegeneration:
     def make(self, var_pair):
-        return CueSet(positive=unit_with_cos(0.8), negative=unit_with_cos(0.3),
-                      variants=[unit_with_cos(v) for v in var_pair])
+        return CueSet(np.stack([unit_with_cos(0.8), unit_with_cos(0.3),
+                                *(unit_with_cos(v) for v in var_pair)]))
 
     def test_noop_when_confident(self):
         cs = self.make((0.5, 0.5))  # unc = 0
@@ -284,9 +297,9 @@ class TestSynthesize:
 
 class TestCueTable:
     def entry(self, rng):
-        return CueSet(positive=rng.standard_normal(3),
-                      negative=rng.standard_normal(3),
-                      variants=[rng.standard_normal(3) for _ in range(2)])
+        return CueSet(np.stack([rng.standard_normal(3),
+                                rng.standard_normal(3),
+                                *(rng.standard_normal(3) for _ in range(2))]))
 
     def test_put_get_and_missing(self, rng):
         table = CueTable(dim=3)
@@ -316,6 +329,25 @@ class TestCueTable:
         path = tmp_path / "cues.jsonl"
         save_cue_table(table, path)
         assert load_cue_table(path) == table
+
+    def test_loaded_cue_set_holds_its_parsed_block(self, tmp_path, rng, monkeypatch):
+        table = CueTable(dim=3)
+        table.put("s0", 0, self.entry(rng))
+        table.put("s1", 2, self.entry(rng))
+        path = tmp_path / "cues.jsonl"
+        save_cue_table(table, path)
+        parsed = {}
+        cue_record = cues._cue_record
+
+        def recording(record, dim):
+            key, block = cue_record(record, dim)
+            parsed[key] = block
+            return key, block
+
+        monkeypatch.setattr(cues, "_cue_record", recording)
+        loaded = load_cue_table(path)
+        assert len(parsed) == 2
+        assert all(cs.block is parsed[key] for key, cs in loaded.items())
 
     def test_missing_field_names_line_and_field(self, tmp_path):
         path = tmp_path / "cues.jsonl"

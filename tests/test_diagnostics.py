@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from semroute.diagnostics import (
-    read_heatmap_csv,
     routing_sharpness,
     routing_variance,
     selection_heatmap,
@@ -14,6 +13,15 @@ from semroute.diagnostics import (
     write_heatmap_csv,
 )
 from semroute.errors import InvalidInputError, InvalidRoutingError
+
+
+def read_heatmap_csv(path):
+    """The categories and (C, E) matrix of a `write_heatmap_csv` file."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    categories = [r[0] for r in rows[1:]]
+    matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    return categories, matrix
 
 
 def topk_mask(topks, n_experts):

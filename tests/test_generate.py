@@ -5,6 +5,7 @@ regenerate."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracle_data
@@ -38,6 +39,19 @@ def test_matches_the_per_option_oracle(name):
     assert [len(split) for split in got] == [config.train_size, config.eval_size]
     assert checks.samples_mismatch(want[0] + want[1], got[0] + got[1]) is None
     assert checks.samples_digest(got[0] + got[1]) == checks.samples_digest(want[0] + want[1])
+
+
+@pytest.mark.parametrize("name", ["default", "noisy_cues"])
+def test_cue_sets_are_views_of_one_cues_array(name):
+    # every option's block, replayed ones included, is a slice of the
+    # (N, J, 2+V, d) cues array, not a copy
+    config = TrainConfig(**{**SMALL, **CONFIGS[name]})
+    train, held_out = data.generate_dataset(config, config.seed)
+    blocks = [cs.block for s in train + held_out for _, cs in s.options]
+    cues = blocks[0].base
+    assert cues.shape == (80, config.option_count, 2 + config.variant_count, config.d)
+    assert all(block.base is cues and np.shares_memory(block, cues) for block in blocks)
+    assert len({block.ctypes.data for block in blocks}) == cues.shape[0] * cues.shape[1]
 
 
 def counting(monkeypatch, owner):

@@ -29,9 +29,8 @@ def make_sample(model, rng, with_cues=True, correct=0, n_options=3):
         if with_cues:
             pos = rng.standard_normal(d)
             neg = rng.standard_normal(d)
-            cues = CueSet(positive=pos, negative=neg,
-                          variants=[pos + 0.01 * rng.standard_normal(d)
-                                    for _ in range(3)])
+            cues = CueSet(np.stack([pos, neg, *(pos + 0.01 * rng.standard_normal(d)
+                                                for _ in range(3))]))
         options.append((rng.standard_normal(d), cues))
     return Sample(sample_id="s0", input_emb=rng.standard_normal(d),
                   options=options, correct=correct, category="c0")

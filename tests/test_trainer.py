@@ -328,7 +328,7 @@ class TestLoadDataset:
         table = cue_table_from_samples(samples, config.d)
         for n, (key, cs) in enumerate(sorted(table.items())):
             variants = [cs.positive + rng.standard_normal(config.d) for _ in range(2 + n % 3)]
-            table.put(*key, CueSet(cs.positive, cs.negative, variants))
+            table.put(*key, CueSet(np.stack([cs.positive, cs.negative, *variants])))
         save_dataset(samples, tmp_path / "train.jsonl")
         save_cue_table(table, tmp_path / "cues.jsonl")
         loaded = load_dataset(tmp_path / "train.jsonl", load_cue_table(tmp_path / "cues.jsonl"),
