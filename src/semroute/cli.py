@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .cues import load_cue_table, save_cue_table
@@ -38,7 +39,7 @@ def _load_config(path, seed=None, ablate=None) -> TrainConfig:
     try:
         config = TrainConfig.from_dict(raw)
         if seed is not None:
-            config = TrainConfig.from_dict({**config.to_dict(), "seed": seed})
+            config = replace(config, seed=seed)
         if ablate:
             config = config.with_ablations([a.strip() for a in ablate.split(",") if a.strip()])
     except (SemrouteError, TypeError) as exc:
@@ -196,9 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset and cue files")

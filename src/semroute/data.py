@@ -47,13 +47,14 @@ def _random_rotation(rng, d):
 def generate_dataset(config, seed: int):
     """Build (train, held_out) lists of fully cue-scored samples.
 
-    Every sample is drawn into preallocated arrays, and then each option
-    column's cue sets are scored with one `score_cues` call. A cue set more
-    uncertain than `unc_threshold` is regenerated, and its regeneration
-    draws inside its sample, so the random stream is rewound to the first
-    sample that holds one. From there every option's cues are drawn and
-    scored on their own, by `synthesize_cues` and `regenerate_if_uncertain`.
-    The samples' embeddings and the cue sets' blocks are views of the arrays.
+    Every sample is drawn into preallocated arrays in one pass, and then
+    each option column's cue sets are scored with one `score_cues` call.
+    Each cue set more uncertain than `unc_threshold` is then regenerated, in
+    sample and option order, by `regenerate_if_uncertain` with
+    `synthesize_cues` on that option's concept and negative concept, drawing
+    on from where the first pass ended. So a regeneration changes only its
+    own cue set and scores. The samples' embeddings and the cue sets' blocks
+    are views of the arrays.
     """
     rng = seeded_rng(seed)
     d, n_concepts, n_options = config.d, config.n_concepts, config.option_count
@@ -71,51 +72,37 @@ def generate_dataset(config, seed: int):
     x = np.empty((total, d))
     text = np.empty((total, n_options, d))
     cues = np.empty((total, n_options, 2 + config.variant_count, d))
+    pairs = np.empty((total, n_options, 2), dtype=np.intp)  # (concept, negative concept)
     correct = [0] * total
-    states = [None] * total  # the random stream at each sample's start
+    for idx in range(total):
+        c = int(concept_ids[idx])
+        x[idx] = rotated[c] + config.input_noise * rng.standard_normal(d)
+        distractors = [k for k in range(n_concepts) if k != c]
+        rng.shuffle(distractors)
+        option_concepts = [c] + distractors[: n_options - 1]
+        option_concepts = [option_concepts[i] for i in rng.permutation(n_options).tolist()]
+        correct[idx] = option_concepts.index(c)
+        for j, oc in enumerate(option_concepts):
+            text[idx, j] = centroids[oc] + config.option_noise * rng.standard_normal(d)
+            negative = int(rng.integers(n_concepts - 1))  # any concept but oc
+            negative += negative >= oc
+            pairs[idx, j] = oc, negative
+            cues[idx, j] = draw_cue_block(cue_centroids[oc], cue_centroids[negative],
+                                          noise_scale, config.variant_count, rng)
 
-    def draw(start, option_cues):
-        """Draw samples `start`.. in order; `option_cues(idx, j, concept,
-        negative)` draws option j's cues."""
-        for idx in range(start, total):
-            states[idx] = rng.bit_generator.state
-            c = int(concept_ids[idx])
-            x[idx] = rotated[c] + config.input_noise * rng.standard_normal(d)
-            distractors = [k for k in range(n_concepts) if k != c]
-            rng.shuffle(distractors)
-            option_concepts = [c] + distractors[: n_options - 1]
-            option_concepts = [option_concepts[i] for i in rng.permutation(n_options).tolist()]
-            correct[idx] = option_concepts.index(c)
-            for j, oc in enumerate(option_concepts):
-                text[idx, j] = centroids[oc] + config.option_noise * rng.standard_normal(d)
-                negative = int(rng.integers(n_concepts - 1))  # any concept but oc
-                option_cues(idx, j, oc, negative + (negative >= oc))
-
-    def into_arrays(idx, j, concept, negative):
-        cues[idx, j] = draw_cue_block(cue_centroids[concept], cue_centroids[negative],
-                                      noise_scale, config.variant_count, rng)
-
-    def regenerated(idx, j, concept, negative):
-        def make_cues(_round=None):
-            return synthesize_cues(cue_centroids[concept], cue_centroids[negative],
-                                   noise_scale, config.variant_count, rng)
-
-        cs = regenerate_if_uncertain(make_cues(), x[idx], threshold=config.unc_threshold,
-                                     generator=make_cues, max_rounds=config.max_regen_rounds,
-                                     only_variance=config.only_variance)
-        cues[idx, j] = cs.block
-        agr[idx, j], var[idx, j], unc[idx, j] = cs.agreement, cs.variance, cs.uncertainty
-
-    draw(0, into_arrays)
     # one (N, J) array per score
     agr, var, unc = (np.stack(column, axis=1) for column in zip(*(
         score_cues(cues[:, j], x, only_variance=config.only_variance)
         for j in range(n_options))))
-    regenerating = np.flatnonzero((unc > config.unc_threshold).any(axis=1))
-    if regenerating.size:
-        first = int(regenerating[0])
-        rng.bit_generator.state = states[first]
-        draw(first, regenerated)
+    for idx, j in zip(*np.nonzero(unc > config.unc_threshold)):
+        pos, neg = cue_centroids[pairs[idx, j]]
+        cs = regenerate_if_uncertain(
+            CueSet(cues[idx, j]), x[idx], threshold=config.unc_threshold,
+            generator=lambda _round: synthesize_cues(pos, neg, noise_scale,
+                                                     config.variant_count, rng),
+            max_rounds=config.max_regen_rounds, only_variance=config.only_variance)
+        cues[idx, j] = cs.block
+        agr[idx, j], var[idx, j], unc[idx, j] = cs.agreement, cs.variance, cs.uncertainty
 
     samples = []
     for idx, (c, *scores) in enumerate(zip(concept_ids.tolist(), agr.tolist(), var.tolist(),

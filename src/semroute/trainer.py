@@ -91,6 +91,8 @@ class TrainConfig:
             if f.type == "float" and (isinstance(value, bool)
                                       or not isinstance(value, numbers.Real)):
                 raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise InvalidInputError(f"{f.name} must be true or false, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidInputError(f"{f.name} must be finite, got {value}")
         if not 1 <= self.k <= self.n_experts:

@@ -1,11 +1,13 @@
 """The per-option dataset generator, kept as the oracle that
 `data.generate_dataset` must match bit for bit.
 
-It draws one sample at a time and scores each option's cue set alone with
-`regenerate_if_uncertain`, regenerating it in place when it is too
-uncertain. It draws cues with its own copy of `synthesize_cues`, so a change
-to the shipped cue draw shows as a mismatch, and a counter patched onto
-`data.synthesize_cues` sees only the generator under test.
+It draws every sample, one option's cue set at a time, and then, on the same
+random stream, scores each option's cue set alone with
+`regenerate_if_uncertain` in sample and option order, regenerating it in
+place when it is too uncertain. It draws cues with its own copy of
+`synthesize_cues`, so a change to the shipped cue draw shows as a mismatch,
+and a counter patched onto `data.synthesize_cues` sees only the generator
+under test.
 """
 import numpy as np
 
@@ -35,7 +37,7 @@ def generate_dataset_oracle(config, seed: int):
     concept_ids = np.resize(np.arange(n_concepts), total)
     rng.shuffle(concept_ids)
 
-    samples = []
+    drawn = []  # (input_emb, correct, concept, [(text_emb, cue set, make_cues)])
     for idx in range(total):
         c = int(concept_ids[idx])
         input_emb = (config.input_scale * centroids[c] @ rotation
@@ -60,18 +62,25 @@ def generate_dataset_oracle(config, seed: int):
                     config.cue_scale * config.cue_noise, config.variant_count, rng,
                 )
 
+            options.append((text_emb, make_cues(), make_cues))
+        drawn.append((input_emb, correct, c, options))
+
+    samples = []
+    for idx, (input_emb, correct, c, options) in enumerate(drawn):
+        scored = []
+        for text_emb, cs, make_cues in options:
             cs = regenerate_if_uncertain(
-                make_cues(), input_emb,
+                cs, input_emb,
                 threshold=config.unc_threshold,
                 generator=make_cues,
                 max_rounds=config.max_regen_rounds,
                 only_variance=config.only_variance,
             )
-            options.append((text_emb, cs))
+            scored.append((text_emb, cs))
         samples.append(Sample(
             sample_id=f"s{idx:05d}",
             input_emb=input_emb,
-            options=options,
+            options=scored,
             correct=correct,
             category=f"c{c}",
         ))

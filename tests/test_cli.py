@@ -318,6 +318,21 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_USAGE, proc.stderr
         assert "Traceback" not in proc.stderr
         assert field in proc.stderr
+
+    @pytest.mark.parametrize("field, value", [("prompt_only", "false"), ("no_sa", 1),
+                                              ("only_variance", None)])
+    def test_flag_that_is_not_a_boolean_is_usage_error(self, workspace, tmp_path, capsys,
+                                                       field, value):
+        # a JSON "false" or 1 used to switch an ablation on or off by truthiness
+        _, config, _, data_dir = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config.to_dict(), field: value}))
+        for argv in (["gen-data", "--out-dir", str(tmp_path / "data")],
+                     ["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "out")]):
+            assert cli.main([*argv, "--config", str(bad)]) == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"{field} must be true or false" in err
+            assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
     def test_ragged_eval_file_is_data_error(self, workspace, trained, tmp_path):

@@ -1,7 +1,9 @@
 """`data.generate_dataset` against the per-option generator in
 `oracle_data`, bit for bit: every array and every cue score, on the
 default config, the benchmark's wide shape and three configs whose cue sets
-regenerate."""
+regenerate. A regeneration changes only its own cue set: lowering
+`unc_threshold` or scoring by variance alone leaves every other array as it
+was."""
 import sys
 from pathlib import Path
 
@@ -19,8 +21,8 @@ import checks  # noqa: E402
 SMALL = dict(train_size=64, eval_size=16)
 REGENERATING = {
     "one_regeneration": dict(SMALL, unc_threshold=0.01),          # 1 extra cue draw
-    "noisy_cues": dict(SMALL, unc_threshold=0.02, cue_noise=0.3),  # 75 extra draws
-    "only_variance": dict(SMALL, unc_threshold=0.005, only_variance=True),  # 23
+    "noisy_cues": dict(SMALL, unc_threshold=0.02, cue_noise=0.3),  # 78 extra draws
+    "only_variance": dict(SMALL, unc_threshold=0.005, only_variance=True),  # 26
 }
 CONFIGS = {
     "default": {},
@@ -43,7 +45,7 @@ def test_matches_the_per_option_oracle(name):
 
 @pytest.mark.parametrize("name", ["default", "noisy_cues"])
 def test_cue_sets_are_views_of_one_cues_array(name):
-    # every option's block, replayed ones included, is a slice of the
+    # every option's block, regenerated ones included, is a slice of the
     # (N, J, 2+V, d) cues array, not a copy
     config = TrainConfig(**{**SMALL, **CONFIGS[name]})
     train, held_out = data.generate_dataset(config, config.seed)
@@ -68,28 +70,63 @@ def counting(monkeypatch, owner):
 
 
 @pytest.mark.parametrize("name", list(REGENERATING))
-def test_regeneration_replays_the_per_option_path(name, monkeypatch):
-    # the replay starts at the first sample holding a cue set to regenerate,
-    # so it draws the oracle's extra cue sets and every option from there on
+def test_regeneration_draws_what_the_oracle_draws(name, monkeypatch):
+    # the first pass draws every option's cue set with draw_cue_block, so
+    # each synthesize_cues call is one of the oracle's regeneration draws
     config = TrainConfig(**REGENERATING[name])
-    replayed = counting(monkeypatch, data)
+    drawn = counting(monkeypatch, data)
     data.generate_dataset(config, config.seed)
     per_option = counting(monkeypatch, oracle_data)
     oracle_data.generate_dataset_oracle(config, config.seed)
     n_options = (config.train_size + config.eval_size) * config.option_count
-    assert len(per_option) > n_options
-    assert 0 < len(replayed) <= len(per_option)
-    assert (len(per_option) - len(replayed)) % config.option_count == 0
-    if name == "noisy_cues":
-        # it regenerates early enough to redraw more than one cue set per option
-        assert len(replayed) > n_options
+    assert len(drawn) == len(per_option) - n_options > 0
 
 
-def test_no_replay_when_no_cue_set_regenerates(monkeypatch):
+def arrays(samples):
+    """Inputs, option texts, labels, categories, cue blocks and cue scores."""
+    return (np.array([s.input_emb for s in samples]),
+            np.array([[t for t, _ in s.options] for s in samples]),
+            [s.correct for s in samples], [s.category for s in samples],
+            np.array([[cs.block for _, cs in s.options] for s in samples]),
+            np.array([[(cs.agreement, cs.variance, cs.uncertainty) for _, cs in s.options]
+                      for s in samples]))
+
+
+def generated(**fields):
+    config = TrainConfig(**SMALL, **fields)
+    return arrays(sum(data.generate_dataset(config, config.seed), []))
+
+
+def test_regeneration_changes_only_the_uncertain_cue_sets():
+    # nothing regenerates at the default threshold, so its scores are the
+    # first pass's
+    x, text, labels, categories, blocks, scores = generated()
+    x2, text2, labels2, categories2, blocks2, scores2 = generated(unc_threshold=0.01)
+    uncertain = scores[..., 2] > 0.01
+    assert uncertain.any()
+    assert np.array_equal(x, x2) and np.array_equal(text, text2)
+    assert labels == labels2 and categories == categories2
+    assert np.array_equal(blocks[~uncertain], blocks2[~uncertain])
+    assert np.array_equal(scores[~uncertain], scores2[~uncertain])
+    assert not np.array_equal(blocks[uncertain], blocks2[uncertain])
+    assert (scores2[uncertain, 2] <= scores[uncertain, 2]).all()
+
+
+def test_the_only_variance_arm_draws_the_full_arms_samples():
+    # the two arms score, and so regenerate, different cue sets; their
+    # samples must stay the same, or the ablation compares two datasets
+    full = generated(unc_threshold=0.005)
+    variance_only = generated(unc_threshold=0.005, only_variance=True)
+    for want, got in zip(full[:4], variance_only[:4]):
+        assert np.array_equal(want, got)
+    assert not np.array_equal(full[4], variance_only[4])
+
+
+def test_no_draws_when_no_cue_set_regenerates(monkeypatch):
     config = TrainConfig(**SMALL)
-    replayed = counting(monkeypatch, data)
+    drawn = counting(monkeypatch, data)
     train_set, eval_set = data.generate_dataset(config, config.seed)
-    assert replayed == []
+    assert drawn == []
     scores = [(cs.agreement, cs.variance, cs.uncertainty)
               for s in train_set + eval_set for _, cs in s.options]
     assert all(type(v) is float for row in scores for v in row)
