@@ -318,6 +318,7 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_USAGE, proc.stderr
         assert "Traceback" not in proc.stderr
         assert field in proc.stderr
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("field, value", [("prompt_only", "false"), ("no_sa", 1),
                                               ("only_variance", None)])
