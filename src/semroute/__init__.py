@@ -4,7 +4,7 @@ routing diagnostics, exercised end to end on synthetic embedding tasks.
 """
 
 from .cues import CueSet, CueTable
-from .data import Sample, generate_dataset
+from .data import Sample, Split, generate_dataset
 from .graph import LossBreakdown
 from .model import Model
 from .scoring import GatingDecision, OptionRepresentation, score_all_options
@@ -12,7 +12,7 @@ from .trainer import TrainConfig, evaluate, train
 
 __all__ = [
     "CueSet", "CueTable", "GatingDecision", "LossBreakdown", "Model",
-    "OptionRepresentation", "Sample", "TrainConfig", "evaluate",
+    "OptionRepresentation", "Sample", "Split", "TrainConfig", "evaluate",
     "generate_dataset", "score_all_options", "train",
 ]
 

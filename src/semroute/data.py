@@ -4,6 +4,8 @@ Concepts are random unit centroids. Each sample's input embedding is a
 rotated, noisy view of one centroid; option text embeddings sit near the
 centroids of their concepts; cues are synthesized per option. The rotation
 makes the input-to-concept map non-trivial so routing quality matters.
+Generated and loaded splits are `Split`s: their samples with the columnar
+`graph.Batch` that training and evaluation read.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import graph
 from .cues import (CueSet, CueTable, draw_cue_block, regenerate_if_uncertain, score_cues,
                    synthesize_cues)
 from .cues import score_cue_set  # noqa: F401  traced by perfbench/tracing.py
@@ -34,6 +37,62 @@ class Sample:
             raise InvalidInputError("correct index out of range")
 
 
+class Split(tuple):
+    """A split's samples, read-only, with `batch`: their `graph.Batch`,
+    made once with the split. `generate_dataset` and `load_dataset` build
+    it from the arrays they fill; `Split.of` gathers any list of samples.
+    A slice is a `Split` over the batch's rows, and `+` with a split or a
+    list gives a plain list of samples. The batch does not see a sample
+    changed in place after the split was made; gather such samples again
+    with `Split.of`."""
+
+    def __new__(cls, samples, batch: graph.Batch):
+        split = super().__new__(cls, samples)
+        split.batch = batch
+        return split
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Split(super().__getitem__(index), self.batch.take(index))
+        return super().__getitem__(index)
+
+    def __add__(self, other):
+        return [*self, *other]
+
+    def __radd__(self, other):
+        return [*other, *self]
+
+    @classmethod
+    def of(cls, samples) -> "Split":
+        """Gather a list of `Sample`s, which must share the first one's
+        option count and embedding dimension. One concatenate is several
+        times faster than `np.stack` on many small vectors; it gathers each
+        option's cue pair as the first two rows of its (2+V, d) cue block."""
+        if not samples:
+            raise DataError("the dataset holds no samples")
+        first = samples[0]
+        n, n_options, d = len(samples), len(first.options), np.size(first.input_emb)
+        for s in samples:
+            if (len(s.options) != n_options or np.shape(s.input_emb) != (d,)
+                    or any(np.shape(t) != (d,) or (cs is not None and cs.dim != d)
+                           for t, cs in s.options)):
+                raise DataError(f"sample {s.sample_id!r} differs in its option count or "
+                                f"embedding dimension from the first sample, which has "
+                                f"{n_options} options of dimension {d}")
+        x = np.concatenate([s.input_emb for s in samples]).reshape(n, d)
+        text = np.concatenate([t for s in samples for t, _ in s.options]).reshape(n, n_options, d)
+        sets = [cs for s in samples for _, cs in s.options]
+        absent = np.zeros((2, d))
+        pairs = np.concatenate([absent if cs is None else cs.block[:2] for cs in sets])
+        return cls(samples, graph.Batch(
+            np.array([s.sample_id for s in samples]), x, text,
+            np.array([s.correct for s in samples]),
+            np.array([cs is not None for cs in sets]).reshape(n, n_options),
+            pairs[0::2].reshape(text.shape), pairs[1::2].reshape(text.shape),
+            np.array([0.0 if cs is None else cs.uncertainty for cs in sets])
+            .reshape(n, n_options)))
+
+
 def _unit_rows(rng, n, d):
     m = rng.standard_normal((n, d))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
@@ -45,7 +104,7 @@ def _random_rotation(rng, d):
 
 
 def generate_dataset(config, seed: int):
-    """Build (train, held_out) lists of fully cue-scored samples.
+    """Build (train, held_out) `Split`s of fully cue-scored samples.
 
     Every sample is drawn into preallocated arrays in one pass, and then
     each option column's cue sets are scored with one `score_cues` call.
@@ -53,8 +112,9 @@ def generate_dataset(config, seed: int):
     sample and option order, by `regenerate_if_uncertain` with
     `synthesize_cues` on that option's concept and negative concept, drawing
     on from where the first pass ended. So a regeneration changes only its
-    own cue set and scores. The samples' embeddings and the cue sets' blocks
-    are views of the arrays.
+    own cue set and scores. The samples' embeddings and the cue sets'
+    blocks are views of the arrays, and the two splits' batches are row
+    slices of one record over the same arrays.
     """
     rng = seeded_rng(seed)
     d, n_concepts, n_options = config.d, config.n_concepts, config.option_count
@@ -111,7 +171,10 @@ def generate_dataset(config, seed: int):
                    for t, block, *option_scores in zip(text[idx], cues[idx], *scores)]
         samples.append(Sample(sample_id=f"s{idx:05d}", input_emb=x[idx], options=options,
                               correct=correct[idx], category=f"c{c}"))
-    return samples[: config.train_size], samples[config.train_size:]
+    record = graph.Batch(np.array([s.sample_id for s in samples]), x, text, np.array(correct),
+                         np.ones(unc.shape, dtype=bool), cues[:, :, 0], cues[:, :, 1], unc)
+    return tuple(Split(samples[rows], record.take(rows)) for rows in (
+        slice(None, config.train_size), slice(config.train_size, None)))
 
 
 # -- dataset files ---------------------------------------------------------
@@ -125,15 +188,17 @@ def save_dataset(samples, path):
 
 
 def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = False):
-    """Load samples; if a cue table is given, attach and score its cues.
+    """Load a `Split`; if a cue table is given, attach and score its cues.
 
     Every sample must have a unique string `sample_id`, a string `category`,
     an integer `correct` index, the same option count, and input and option
     embeddings of one dimension, that of the cue table too: batched training
     and evaluation stack them into arrays. An input embedding with cues must
     have a non-zero squared norm that fits in float64. Every record is
-    parsed first; then the cue sets are scored in one `score_cues` call per
-    cue block shape, over their stacked blocks.
+    parsed first, and its input and option embeddings are stacked into the
+    split's batch. Then the cue sets are scored in one `score_cues` call
+    per cue block shape, over their stacked blocks, which are scattered into
+    the batch's cue pairs by (row, option).
     """
     records = read_jsonl(path, DataError)
     _, header = next(records)
@@ -141,9 +206,9 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
     if type(count) is not int or count < 0:
         raise DataError(f"{path} line 1: the header count must be a non-negative integer, "
                         f"got {count!r}")
-    samples = []
+    samples, inputs, option_texts = [], [], []
     first_line = {}
-    by_shape = {}  # cue block shape -> [(sample, option id, cue set)]
+    by_shape = {}  # cue block shape -> [(row, option id, cue set)]
     for lineno, rec in records:
         try:
             sample_id, correct, category = rec["sample_id"], rec["correct"], rec["category"]
@@ -175,6 +240,8 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
                 correct=correct,
                 category=category,
             ))
+            inputs.append(input_emb)
+            option_texts.append(texts)
             if cue_table is not None:
                 cued = [(oid, cue_table.get(sample_id, oid)) for oid in range(len(texts))
                         if (sample_id, oid) in cue_table]
@@ -186,7 +253,7 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
                     if not sq_norm:
                         raise DataError("an input embedding with cues must not have zero norm")
                 for oid, cs in cued:
-                    by_shape.setdefault(cs.block.shape, []).append((samples[-1], oid, cs))
+                    by_shape.setdefault(cs.block.shape, []).append((len(samples) - 1, oid, cs))
         # ValueError includes ragged or non-numeric arrays and the
         # DataError raised above
         except (KeyError, TypeError, ValueError) as exc:
@@ -194,14 +261,27 @@ def load_dataset(path, cue_table: CueTable | None = None, only_variance: bool = 
         first_line[sample_id] = lineno
     if count != len(samples):
         raise DataError(f"{path}: the header counts {count} samples, the file holds {len(samples)}")
+    n = len(samples)
+    n_options, d = option_texts[0].shape if samples else (0, 0)
+    x = np.array(inputs).reshape(n, d)
+    text = np.array(option_texts).reshape(n, n_options, d)
+    has_cue = np.zeros((n, n_options), dtype=bool)
+    pos, neg = np.zeros(text.shape), np.zeros(text.shape)
+    uncertainties = np.zeros(has_cue.shape)
     for group in by_shape.values():
-        stacked = np.stack([cs.block for *_, cs in group])
-        inputs = np.array([sample.input_emb for sample, *_ in group])
-        scores = score_cues(stacked, inputs, only_variance=only_variance)
-        for (sample, oid, cs), agr, var, unc in zip(group, *(a.tolist() for a in scores)):
-            text = sample.options[oid][0]
-            sample.options[oid] = (text, replace(cs, agreement=agr, variance=var, uncertainty=unc))
-    return samples
+        rows, oids, sets = zip(*group)
+        stacked = np.stack([cs.block for cs in sets])
+        scores = score_cues(stacked, x[list(rows)], only_variance=only_variance)
+        at = list(rows), list(oids)
+        has_cue[at], uncertainties[at] = True, scores[2]
+        pos[at], neg[at] = stacked[:, 0], stacked[:, 1]
+        for row, oid, cs, agr, var, unc in zip(rows, oids, sets, *(a.tolist() for a in scores)):
+            options = samples[row].options
+            options[oid] = (options[oid][0],
+                            replace(cs, agreement=agr, variance=var, uncertainty=unc))
+    return Split(samples, graph.Batch(np.array([s.sample_id for s in samples]), x, text,
+                                      np.array([s.correct for s in samples]), has_cue, pos, neg,
+                                      uncertainties))
 
 
 def cue_table_from_samples(samples, dim: int) -> CueTable:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import graph
-from .data import generate_dataset
+from .data import Split, generate_dataset
 from .model import Model
 from .numerics import finite_difference_gradient
 from .trainer import TrainConfig
@@ -33,7 +33,7 @@ def gradient_check(config: TrainConfig, batch=None, step: float = 1e-5):
     if batch is None:
         train_set, _ = generate_dataset(config, config.seed)
         batch = train_set[:4]
-    batch = graph.Batch.of(batch)
+    batch = Split.of(batch).batch
     model = Model.init(config.d, config.n_experts, config.k, config.hidden, config.seed)
 
     tensors = graph.parameter_tensors(model)

@@ -1,12 +1,12 @@
 """Batched differentiable forward pass and loss for one training step.
 
 Builds the whole routing/scoring/loss graph on the autodiff tape for a
-`Batch`, the columnar record of a list of samples gathered once. The E
-experts are one fused tape node over the stacked expert blocks, each run
-only on the rows routed to it. The same forward, run over plain parameter
-arrays, evaluates whole splits in either routing mode. Values agree with
-the per-sample reference in `scoring`; gradients are validated against
-the finite-difference oracle in `numerics`.
+`Batch`, the columnar record of a split of samples. The E experts are one
+fused tape node over the stacked expert blocks, each run only on the rows
+routed to it. The same forward, run over plain parameter arrays,
+evaluates whole splits in either routing mode. Values agree with the
+per-sample reference in `scoring`; gradients are validated against the
+finite-difference oracle in `numerics`.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, InvalidInputError, MissingCueError
+from .errors import InvalidInputError, MissingCueError
 from .model import split_blocks
 
 WEIGHT_CLIP = (0.1, 1.0)  # per-option weight range after clipping
@@ -33,47 +33,24 @@ class LossBreakdown:
 
 class Batch(NamedTuple):
     """N samples with J options each, as arrays: `ids` (N,), `x` (N, d),
-    `text` (N, J, d), `correct` (N,), and, if the cues were gathered, the
-    `pos`/`neg` cue embeddings (N, J, d) and their `unc` uncertainty (N, J),
-    all zero where an option has no cue set. `has_cue` (N, J) marks the
-    options whose cues are present; it is all False when none were
-    gathered."""
+    `text` (N, J, d), `correct` (N,), the `pos`/`neg` cue embeddings
+    (N, J, d) and their `unc` uncertainty (N, J), both zero where an option
+    has no cue set, and `has_cue` (N, J), which marks the options whose cues
+    are present. `data.Split` makes it; `data.Split.of` gathers it from a
+    list of samples."""
 
     ids: np.ndarray
     x: np.ndarray
     text: np.ndarray
     correct: np.ndarray
     has_cue: np.ndarray
-    pos: np.ndarray | None = None
-    neg: np.ndarray | None = None
-    unc: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, samples, cues: bool = True) -> "Batch":
-        """Gather a list of `Sample`s once. One concatenate is several
-        times faster than `np.stack` on many small vectors; it gathers each
-        option's cue pair as the first two rows of its (2+V, d) cue block."""
-        if not samples:
-            raise DataError("the dataset holds no samples")
-        n, n_options = len(samples), len(samples[0].options)
-        ids = np.array([s.sample_id for s in samples])
-        x = np.concatenate([s.input_emb for s in samples]).reshape(n, -1)
-        text = np.concatenate([t for s in samples for t, _ in s.options]).reshape(n, n_options, -1)
-        correct = np.array([s.correct for s in samples])
-        if not cues:
-            return cls(ids, x, text, correct, np.zeros((n, n_options), dtype=bool))
-        sets = [cs for s in samples for _, cs in s.options]
-        absent = np.zeros((2, x.shape[1]))
-        pairs = np.concatenate([absent if cs is None else cs.block[:2] for cs in sets])
-        return cls(ids, x, text, correct,
-                   np.array([cs is not None for cs in sets]).reshape(n, n_options),
-                   pairs[0::2].reshape(text.shape), pairs[1::2].reshape(text.shape),
-                   np.array([0.0 if cs is None else cs.uncertainty for cs in sets])
-                   .reshape(n, n_options))
+    pos: np.ndarray
+    neg: np.ndarray
+    unc: np.ndarray
 
     def take(self, rows) -> "Batch":
-        """The samples at the index array `rows`."""
-        return Batch._make(None if a is None else a[rows] for a in self)
+        """The samples at the index array or slice `rows`."""
+        return Batch._make(a[rows] for a in self)
 
 
 def parameter_tensors(model, grad=None) -> dict:
@@ -184,7 +161,7 @@ def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
 
 def batch_loss(tensors, batch, config, frozen=None):
     """Total loss Tensor plus a LossBreakdown and auxiliary arrays for a
-    `Batch` gathered with its cues."""
+    `Batch`."""
     frozen = frozen or {}
     n = batch.correct.size
 

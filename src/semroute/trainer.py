@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import graph
-from .data import generate_dataset
+from .data import Split, generate_dataset
 from .diagnostics import (
     routing_sharpness,
     routing_variance,
@@ -227,44 +227,48 @@ def train_step(model: Model, batch: graph.Batch, config: TrainConfig, step: int,
     return breakdown, aux
 
 
-def _gather(dataset, d: int, cues: bool) -> graph.Batch:
-    """`graph.Batch.of` the dataset, whose embeddings must have dimension d."""
-    batch = graph.Batch.of(dataset, cues=cues)
+def _records(dataset, d: int) -> graph.Batch:
+    """The dataset's `graph.Batch`: a `Split`'s own, or else one gathered by
+    `Split.of`. Its embeddings must have dimension d."""
+    if not len(dataset):
+        raise DataError("the dataset holds no samples")
+    batch = (dataset if isinstance(dataset, Split) else Split.of(dataset)).batch
     if batch.x.shape[1] != d:
         raise DataError(f"dataset embeddings have dimension {batch.x.shape[1]}, the model {d}")
     return batch
 
 
 def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
-    """Accuracy, mean Sim and the routing decisions over a dataset.
+    """Accuracy, mean Sim and the routing decisions over a dataset, a
+    `Split` or a list of samples.
 
     One tape-free run of `graph.forward_options` scores the whole split.
     Sim pairs the mode's gate over the K selected experts, renormalised,
-    with their (N, K, d) outputs from the same forward; it averages over
-    the samples whose correct option has cues and is NaN when none has.
-    `topk_mask` and `gate` are the (N, E) routing decisions.
+    with their (N, K, d) outputs from the same forward and the correct
+    option's cue difference; it averages over the samples whose correct
+    option has cues and is NaN when none has. `topk_mask` and `gate` are
+    the (N, E) routing decisions.
     """
     dims = (model.d, model.n_experts, model.k, model.hidden)
     if dims != (config.d, config.n_experts, config.k, config.hidden):
         raise InvalidInputError(f"model (d, E, K, hidden) = {dims} differ from the config's "
                                 f"{(config.d, config.n_experts, config.k, config.hidden)}")
-    # student mode never reads a cue, so it gathers none
-    batch = _gather(dataset, model.d, cues=mode == "teacher")
+    batch = _records(dataset, model.d)
     scores, _, routing = graph.forward_options(model.blocks, batch, config, mode=mode)
     gate = routing[f"{mode}_gate"].value
 
-    correct_cues = [s.options[s.correct][1] for s in dataset]
-    cued = [i for i, cs in enumerate(correct_cues) if cs is not None]
+    rows = np.arange(batch.correct.size)
+    cued = batch.has_cue[rows, batch.correct]
     sim_mean = float("nan")
-    if cued:
-        pairs = np.concatenate([correct_cues[i].block[:2] for i in cued])
-        directions = pairs[0::2] - pairs[1::2]
+    if cued.any():
+        at = rows[cued], batch.correct[cued]
+        directions = batch.pos[at] - batch.neg[at]
         selected = np.take_along_axis(gate[cued], routing["topk"][cued], axis=1)
         selected /= selected.sum(axis=1, keepdims=True)
         sim_mean = float(np.mean(sim_score(routing["experts"][cued], selected, directions)))
     return {
         "accuracy": (int(np.count_nonzero(np.argmax(scores.value, axis=1) == batch.correct))
-                     / len(dataset)),
+                     / rows.size),
         "sim_mean": sim_mean,
         "topk_mask": routing["topk_mask"],
         "gate": gate,
@@ -296,7 +300,7 @@ def diagnose(model: Model, dataset, mode: str, config: TrainConfig):
 
 def train(config: TrainConfig, train_set, eval_set, metrics_path=None):
     """Full training run; returns (model, list of per-step metric rows)."""
-    records = _gather(train_set, config.d, cues=True)
+    records = _records(train_set, config.d)
     model = Model.init(config.d, config.n_experts, config.k, config.hidden, config.seed)
     optimizer = AdamW(model.vector.size, config)
     batch_rng = seeded_rng(config.seed + 1)

@@ -38,6 +38,34 @@ def random_sample_factory(model, rng, n_options=4):
     return make
 
 
+def load_round_trip(samples, directory, cue_table=None):
+    """`samples` saved to `directory` and loaded back, with `cue_table`
+    saved and loaded beside them, or with no cues if it is None."""
+    from semroute.cues import load_cue_table, save_cue_table
+    from semroute.data import load_dataset, save_dataset
+
+    save_dataset(samples, directory / "split.jsonl")
+    if cue_table is not None:
+        save_cue_table(cue_table, directory / "cues.jsonl")
+        cue_table = load_cue_table(directory / "cues.jsonl")
+    return load_dataset(directory / "split.jsonl", cue_table)
+
+
+def patchy_cue_table(samples, dim):
+    """The samples' cue table with 2, 3 and 4 variants per cue set in turn
+    and without the cue set of the second sample's correct option; the
+    samples must have at least 4 variants."""
+    from semroute.cues import CueSet, CueTable
+    from semroute.data import cue_table_from_samples
+
+    table = CueTable(dim)
+    missing = (samples[1].sample_id, samples[1].correct)
+    for n, (key, cs) in enumerate(sorted(cue_table_from_samples(samples, dim).items())):
+        if key != missing:
+            table.put(*key, CueSet(cs.block[:4 + n % 3]))
+    return table
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

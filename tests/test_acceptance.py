@@ -13,7 +13,7 @@ from conftest import random_sample_factory
 from semroute import graph
 from semroute.autodiff import bce_logistic, constant, mul, sum_all
 from semroute.cues import uncertainty
-from semroute.data import generate_dataset
+from semroute.data import Split, generate_dataset
 from semroute.gradcheck import REL_TOL, gradient_check
 from semroute.model import Model
 from semroute.scoring import option_gate, score_all_options, student_gate, teacher_gate
@@ -114,7 +114,7 @@ def test_criterion_4_gradient_rescaling_bound(report, rng):
     violations = 0
     for _ in range(100):
         sample = make()
-        batch = graph.Batch.of([sample])
+        batch = Split.of([sample]).batch
         tensors = graph.parameter_tensors(model)  # the six parameter blocks
         total, breakdown, aux = graph.batch_loss(tensors, batch, config)
         total.backward()

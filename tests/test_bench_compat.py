@@ -10,7 +10,8 @@ import pytest
 
 from conftest import small_config
 from semroute import autodiff
-from semroute.data import generate_dataset
+from semroute.cues import load_cue_table, save_cue_table
+from semroute.data import cue_table_from_samples, generate_dataset, load_dataset, save_dataset
 from semroute.model import Model
 from semroute.trainer import evaluate, train
 
@@ -43,6 +44,25 @@ def test_checkpoint_saves_to_the_exact_path(tmp_path):
     assert loaded.vector.tobytes() == model.vector.tobytes()
     assert all(np.shares_memory(v, loaded.vector) for v in loaded.params.values())
     assert all(np.shares_memory(b, loaded.vector) for b in loaded.blocks.values())
+
+
+def test_splits_round_trip_as_the_benchmark_uses_them(tmp_path):
+    # the benchmark joins the two splits with `+`, extends a list with
+    # each loaded split and compares the samples one by one
+    config = small_config()
+    splits = generate_dataset(config, config.seed)
+    generated = splits[0] + splits[1]
+    assert type(generated) is list
+    assert checks.samples_digest(generated) == checks.samples_digest([*splits[0], *splits[1]])
+    loaded = []
+    for name, samples in zip(("train", "eval"), splits):
+        save_dataset(samples, tmp_path / f"{name}.jsonl")
+        save_cue_table(cue_table_from_samples(samples, config.d), tmp_path / f"cues_{name}.jsonl")
+        loaded += load_dataset(tmp_path / f"{name}.jsonl",
+                               load_cue_table(tmp_path / f"cues_{name}.jsonl"),
+                               only_variance=config.only_variance)
+    assert checks.samples_mismatch(generated, loaded) is None
+    assert checks.samples_digest(loaded) == checks.samples_digest(generated)
 
 
 @pytest.fixture(scope="module")

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sample_factory, small_config
+from conftest import load_round_trip, patchy_cue_table, random_sample_factory, small_config
 from semroute import graph
-from semroute.data import Sample, generate_dataset, load_dataset, save_dataset
+from semroute.data import (Sample, Split, cue_table_from_samples, generate_dataset, load_dataset,
+                           save_dataset)
 from semroute.errors import InvalidRoutingError, MissingCueError
 from semroute.model import Model
 from semroute.numerics import cosine
 from semroute.scoring import expert_forward, predict, score_all_options
-from semroute.trainer import diagnose, evaluate
+from semroute.trainer import diagnose, evaluate, train
 
 
 def reference(model, samples, mode, config):
@@ -106,7 +107,7 @@ class TestAblationSwitches:
         config, model, eval_set = split
         config = replace(config, prompt_only=True)
         metrics = evaluate(model, eval_set, "teacher", config)
-        _, _, aux = graph.batch_loss(graph.parameter_tensors(model), graph.Batch.of(eval_set),
+        _, _, aux = graph.batch_loss(graph.parameter_tensors(model), eval_set.batch,
                                      config)
         np.testing.assert_array_equal(metrics["topk_mask"], aux["topk_mask"])
         np.testing.assert_array_equal(metrics["gate"], aux["teacher_gate"])
@@ -139,3 +140,56 @@ class TestDiagnose:
         model = Model(model.d, model.n_experts, full.k, model.hidden, model.vector)
         with pytest.raises(InvalidRoutingError):
             diagnose(model, eval_set, "student", full)
+
+
+class TestSplitRecord:
+    """A `Split` evaluates with the batch it was made with, exactly as its
+    samples do when gathered from a list."""
+
+    @pytest.fixture(scope="class")
+    def splits(self, split, tmp_path_factory):
+        config, _, eval_set = split
+        full, patchy = (tmp_path_factory.mktemp(name) for name in ("full", "patchy"))
+        return {"generated": eval_set, "slice": eval_set[10:70:3],
+                "loaded": load_round_trip(eval_set, full, cue_table_from_samples(eval_set,
+                                                                                 config.d)),
+                "patchy": load_round_trip(eval_set, patchy, patchy_cue_table(eval_set, config.d)),
+                "cue-free": load_round_trip(eval_set, tmp_path_factory.mktemp("bare"))}
+
+    @pytest.mark.parametrize("mode", ["teacher", "student"])
+    @pytest.mark.parametrize("name", ["generated", "slice", "loaded", "patchy", "cue-free"])
+    def test_evaluate_and_diagnose_equal_the_list_form(self, split, splits, name, mode):
+        config, model, _ = split
+        dataset = splits[name]
+        assert type(dataset) is Split
+        for run in (evaluate, diagnose):
+            if mode == "teacher" and name in ("patchy", "cue-free"):
+                errors = []
+                for form in (dataset, list(dataset)):
+                    with pytest.raises(MissingCueError) as exc:
+                        run(model, form, mode, config)
+                    errors.append((exc.value.sample_id, exc.value.option_id))
+                assert errors[0] == errors[1]
+            else:
+                np.testing.assert_equal(run(model, dataset, mode, config),
+                                        run(model, list(dataset), mode, config))
+
+
+def test_splits_are_never_gathered_again(tmp_path, monkeypatch):
+    """`generate_dataset` and `load_dataset` make each split's batch, and
+    `evaluate`, `diagnose` and `train` use it, for slices too."""
+    def refuse(cls, samples):
+        raise AssertionError("a split was gathered again")
+
+    monkeypatch.setattr(Split, "of", classmethod(refuse))
+    config = small_config(eval_size=40, total_steps=3)
+    train_set, eval_set = generate_dataset(config, config.seed)
+    loaded = load_round_trip(eval_set, tmp_path, cue_table_from_samples(eval_set, config.d))
+    model = Model.init(config.d, config.n_experts, config.k, config.hidden, seed=3)
+    for dataset in (train_set, eval_set, train_set[2:20], loaded, loaded[::2]):
+        for mode in ("teacher", "student"):
+            evaluate(model, dataset, mode, config)
+            diagnose(model, dataset, mode, config)
+        train(config, dataset, dataset[:5])
+    with pytest.raises(AssertionError, match="gathered again"):
+        evaluate(model, list(eval_set), "student", config)

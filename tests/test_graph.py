@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import small_config
+from conftest import load_round_trip, patchy_cue_table, small_config
 from semroute import graph
-from semroute.data import Sample, generate_dataset
+from semroute.cues import CueSet
+from semroute.data import Sample, Split, generate_dataset
 from semroute.errors import DataError, MissingCueError
 from semroute.gradcheck import REL_TOL, gradient_check
 from semroute.model import Model, block_shapes
@@ -18,6 +19,7 @@ from semroute.scoring import (
     score_all_options,
     wrong_representation,
 )
+from semroute.trainer import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +33,7 @@ def setup():
 
 def run_batch(config, model, batch, frozen=None):
     tensors = graph.parameter_tensors(model)
-    return graph.batch_loss(tensors, graph.Batch.of(batch), config, frozen=frozen), tensors
+    return graph.batch_loss(tensors, Split.of(batch).batch, config, frozen=frozen), tensors
 
 
 def tape_nodes(root):
@@ -52,32 +54,42 @@ def strip_cues(sample, options):
                   correct=sample.correct, category=sample.category)
 
 
+def assert_same_batch(a, b):
+    """Every field of two `Batch`es equal in dtype, shape and bytes."""
+    for name, u, v in zip(graph.Batch._fields, a, b):
+        assert (u.dtype, u.shape) == (v.dtype, v.shape), name
+        assert np.ascontiguousarray(u).tobytes() == np.ascontiguousarray(v).tobytes(), name
+
+
 class TestBatch:
     def test_take_equals_gathering_the_rows(self, setup):
         _, _, samples = setup
         rows = np.array([4, 0, 2])
-        taken = graph.Batch.of(samples).take(rows)
-        direct = graph.Batch.of([samples[i] for i in rows])
-        for name, a, b in zip(graph.Batch._fields, taken, direct):
-            np.testing.assert_array_equal(a, b, err_msg=name)
+        taken = Split.of(samples).batch.take(rows)
+        assert_same_batch(taken, Split.of([samples[i] for i in rows]).batch)
         assert taken.text.shape == (3, len(samples[0].options), samples[0].input_emb.size)
         np.testing.assert_array_equal(taken.pos[1, 2], samples[0].options[2][1].positive)
         assert taken.unc[2, 1] == samples[2].options[1][1].uncertainty
 
-    @pytest.mark.parametrize("cues", [True, False])
-    def test_empty_list_is_data_error(self, cues):
-        with pytest.raises(DataError, match="no samples"):
-            graph.Batch.of([], cues=cues)
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_empty_list_is_data_error(self, setup, sliced):
+        config, model, samples = setup
+        with pytest.raises(DataError, match="^the dataset holds no samples$"):
+            if sliced:  # an empty slice of a split has a batch of no rows
+                evaluate(model, samples[2:2], "student", config)
+            else:
+                Split.of([])
 
     def test_cue_free_record_holds_no_cues(self, setup):
         _, _, samples = setup
-        batch = graph.Batch.of(samples, cues=False)
-        assert batch.pos is None and batch.neg is None and batch.unc is None
+        batch = Split.of([strip_cues(s, range(len(s.options))) for s in samples]).batch
         assert not batch.has_cue.any()
+        assert not (batch.pos.any() or batch.neg.any() or batch.unc.any())
+        assert batch.pos.shape == batch.neg.shape == batch.text.shape
 
     def test_absent_cue_marked_and_zero(self, setup):
         _, _, samples = setup
-        batch = graph.Batch.of([samples[0], strip_cues(samples[1], {1})])
+        batch = Split.of([samples[0], strip_cues(samples[1], {1})]).batch
         assert batch.has_cue.sum() == batch.has_cue.size - 1 and not batch.has_cue[1, 1]
         assert not batch.pos[1, 1].any() and batch.unc[1, 1] == 0.0
 
@@ -93,12 +105,80 @@ class TestBatch:
             expected = (samples[2].sample_id, samples[2].correct)
         tensors = graph.parameter_tensors(model)
         with pytest.raises(MissingCueError) as exc:
-            graph.forward_options(tensors, graph.Batch.of(stripped), config)
+            graph.forward_options(tensors, Split.of(stripped).batch, config)
         assert (exc.value.sample_id, exc.value.option_id) == expected
         assert type(exc.value.sample_id) is str
-        # student mode reads no cue, so a record without any serves it
-        graph.forward_options(tensors, graph.Batch.of(stripped, cues=False), config,
-                              mode="student")
+        # student mode reads no cue
+        graph.forward_options(tensors, Split.of(stripped).batch, config, mode="student")
+
+
+class TestSplit:
+    @pytest.fixture(scope="class")
+    def generated(self):
+        return generate_dataset(small_config(), seed=3)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(3, 9), slice(None, None, -2),
+                                      slice(-5, None)])
+    def test_generated_batch_is_the_gather(self, generated, rows):
+        for split in generated:
+            part = split[rows]
+            assert type(part) is Split
+            assert_same_batch(part.batch, Split.of(list(part)).batch)
+
+    def test_generated_batch_views_the_samples_arrays(self, generated):
+        for split in generated:
+            first = split[0]
+            assert np.shares_memory(split.batch.x, first.input_emb)
+            assert np.shares_memory(split.batch.text, first.options[0][0])
+            for cues in (split.batch.pos, split.batch.neg, split[:3].batch.pos):
+                assert np.shares_memory(cues, first.options[0][1].block)
+
+    @pytest.mark.parametrize("cues", ["patchy", "none"])
+    def test_loaded_batch_is_the_gather(self, generated, tmp_path, cues):
+        samples = generated[0]
+        table = patchy_cue_table(samples, samples.batch.x.shape[1]) if cues == "patchy" else None
+        loaded = load_round_trip(samples, tmp_path, table)
+        assert type(loaded) is Split
+        for part in (loaded, loaded[2:7]):
+            assert_same_batch(part.batch, Split.of(list(part)).batch)
+        if table is None:
+            assert not loaded.batch.has_cue.any()
+        else:
+            assert np.flatnonzero(~loaded.batch.has_cue) == [1 * len(samples[1].options)
+                                                             + samples[1].correct]
+            assert {len(cs.variants) for s in loaded for _, cs in s.options
+                    if cs is not None} == {2, 3, 4}
+
+    def test_reads_as_a_sequence_of_samples(self, generated):
+        train, held_out = generated
+        assert type(train[0]) is Sample and train[-1] is list(train)[-1]
+        joined = train + held_out
+        assert type(joined) is list
+        assert [id(s) for s in joined] == [id(s) for s in (*train, *held_out)]
+        collected = [train[0]]
+        collected += held_out
+        assert [id(s) for s in collected] == [id(train[0])] + [id(s) for s in held_out]
+        assert [id(s) for s in [train[0]] + held_out] == [id(s) for s in collected]
+
+    @pytest.mark.parametrize("change", ["input_dim", "option_count", "option_dim", "cue_dim"])
+    def test_ragged_samples_are_data_error(self, setup, change):
+        config, model, samples = setup
+        odd, options = samples[1], list(samples[1].options)
+        text, cs = options[1]
+        if change == "input_dim":
+            odd = replace(odd, input_emb=odd.input_emb[:2])
+        elif change == "option_count":
+            odd = replace(odd, options=options[:2], correct=0)
+        elif change == "option_dim":
+            options[1] = (text[:2], cs)
+            odd = replace(odd, options=options)
+        else:
+            options[1] = (text, CueSet(cs.block[:, :2]))
+            odd = replace(odd, options=options)
+        with pytest.raises(DataError, match=f"^sample {odd.sample_id!r} differs"):
+            Split.of([samples[0], odd, samples[2]])
+        with pytest.raises(DataError, match=f"^sample {odd.sample_id!r} differs"):
+            evaluate(model, [samples[0], odd], "teacher", config)
 
 
 class TestParityWithPerSamplePath:
@@ -142,7 +222,7 @@ class TestParityWithPerSamplePath:
     def test_option_gates_match_masked_rows(self, setup):
         config, model, batch = setup
         tensors = graph.parameter_tensors(model)
-        scores, reps, routing = graph.forward_options(tensors, graph.Batch.of(batch), config)
+        scores, reps, routing = graph.forward_options(tensors, Split.of(batch).batch, config)
         mask = routing["topk_mask"]
         for row, sample in enumerate(batch):
             decision, sreps = score_all_options(sample, model, "teacher",
@@ -158,7 +238,7 @@ class TestSpanProperty:
     def test_representations_lie_in_selected_span(self, setup):
         config, model, batch = setup
         tensors = graph.parameter_tensors(model)
-        _, reps, routing = graph.forward_options(tensors, graph.Batch.of(batch), config)
+        _, reps, routing = graph.forward_options(tensors, Split.of(batch).batch, config)
         mask = routing["topk_mask"]
         for row in range(len(batch)):
             # the (B, K) expert ids are ascending and are the mask's columns
@@ -245,7 +325,7 @@ class TestGradients:
         grad = np.zeros_like(model.vector)
         tensors = graph.parameter_tensors(model, grad)
         assert list(tensors) == list(block_shapes(model.d, model.n_experts, model.hidden))
-        total, _, _ = graph.batch_loss(tensors, graph.Batch.of(batch), config)
+        total, _, _ = graph.batch_loss(tensors, Split.of(batch).batch, config)
         total.backward()
         assert all(np.shares_memory(t.grad, grad) for t in tensors.values())
         assert all(np.shares_memory(t.value, model.vector) for t in tensors.values())

@@ -7,7 +7,6 @@ import pytest
 from conftest import read_archive, small_config, write_archive
 from semroute.data import generate_dataset
 from semroute.errors import DataError, InvalidInputError, InvalidRoutingError, ShapeError
-from semroute.graph import Batch
 from semroute.model import CHECKPOINT_FORMAT, Model, block_shapes, config_hash
 from semroute.numerics import seeded_rng, softmax
 from semroute.scoring import (
@@ -217,7 +216,7 @@ class TestFlatVector:
         train_set, _ = generate_dataset(config, config.seed)
         model = Model.init(config.d, config.n_experts, config.k, config.hidden, 0)
         before = model.vector.copy()
-        train_step(model, Batch.of(train_set[:8]), config, config.warmup_steps,
+        train_step(model, train_set[:8].batch, config, config.warmup_steps,
                    AdamW(model.vector.size, config))
         return model, before
 

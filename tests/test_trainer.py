@@ -10,7 +10,6 @@ from conftest import small_config
 from semroute.data import generate_dataset, load_dataset, save_dataset
 from semroute.errors import DataError, DivergenceError, InvalidInputError
 from semroute import graph, trainer
-from semroute.graph import Batch
 from semroute.model import Model
 from semroute.trainer import (
     METRIC_COLUMNS,
@@ -104,7 +103,7 @@ class TestTrainStep:
                            config.seed)
         before = {n: p.copy() for n, p in model.params.items()}
         optimizer = AdamW(model.vector.size, config)
-        train_step(model, Batch.of(train_set[:4]), config, 0, optimizer)
+        train_step(model, train_set[:4].batch, config, 0, optimizer)
         for name, p in model.params.items():
             np.testing.assert_array_equal(p, before[name])
 
@@ -112,7 +111,7 @@ class TestTrainStep:
     def test_reports_the_pre_clip_gradient_norm(self, config, max_norm):
         config = replace(config, grad_clip_norm=max_norm)
         train_set, _ = generate_dataset(config, seed=config.seed)
-        batch = Batch.of(train_set[:4])
+        batch = train_set[:4].batch
         model = Model.init(config.d, config.n_experts, config.k, config.hidden, 0)
         grad = np.zeros_like(model.vector)
         total, _, _ = graph.batch_loss(graph.parameter_tensors(model, grad), batch, config)
@@ -128,7 +127,7 @@ class TestTrainStep:
         model.params["gating"][0, 0] = np.nan
         optimizer = AdamW(model.vector.size, config)
         with pytest.raises(DivergenceError) as exc:
-            train_step(model, Batch.of(train_set[:4]), config, 3, optimizer)
+            train_step(model, train_set[:4].batch, config, 3, optimizer)
         assert exc.value.step == 3
 
 
