@@ -177,24 +177,10 @@ def tanh(a) -> Tensor:
     return _attach(out, (a,), backward)
 
 
-def softmax_rows(z, index=None) -> Tensor:
-    """Row-wise max-subtracted softmax over the last axis. Given an integer
-    `index` (..., K) of distinct entries per row, broadcast against z's
-    leading axes, it is the softmax over the K entries each row picks
-    (as `np.take_along_axis` picks them), (..., K), and the gradient flows
-    back to them."""
+def softmax_rows(z) -> Tensor:
+    """Row-wise max-subtracted softmax over the last axis."""
     z = _as_tensor(z)
-    if index is None:
-        return _softmax(z, z.value)
-    index = np.asarray(index)
-    if index.ndim != z.value.ndim or index.dtype.kind not in "iu":
-        raise ShapeError("index must be an integer array with one axis per logit axis")
-    if index.size and not (index.min() >= 0 and index.max() < z.value.shape[-1]):
-        raise InvalidInputError("index entries must pick columns of the logits")
-    lead = z.value.shape[:-1]  # one broadcasting range per leading axis, then the index
-    pick = tuple(np.arange(n).reshape((n,) + (1,) * (len(lead) - i))
-                 for i, n in enumerate(lead)) + (index,)
-    return _softmax(z, z.value[pick], pick)
+    return _softmax(z, z.value)
 
 
 def masked_softmax_rows(z, mask) -> Tensor:
@@ -208,20 +194,16 @@ def masked_softmax_rows(z, mask) -> Tensor:
     return _softmax(z, np.where(mask, z.value, -np.inf))
 
 
-def _softmax(z, logits, pick=None):
-    """Softmax of z's `logits`, masked entries at -inf, or of the entries
-    z.value[pick]; the gradient flows back to z."""
+def _softmax(z, logits):
+    """Softmax of z's `logits`, masked entries at -inf; the gradient flows
+    back to z."""
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def backward(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        gz = y * (g - inner)  # y is zero off-mask, so grad is too
-        if pick is not None:
-            picked, gz = gz, np.zeros(z.value.shape)
-            gz[pick] = picked
-        z.grad += gz
+        z.grad += y * (g - inner)  # y is zero off-mask, so grad is too
 
     return _attach(out, (z,), backward)
 
@@ -364,6 +346,21 @@ def experts(x, w1, b1, w2, b2, topk=None) -> Tensor:
     return _attach(out, (x, w1, b1, w2, b2), backward)
 
 
+def fused(value, operands, backward) -> Tensor:
+    """One node for a whole stage of numpy code: `value` over the tensors
+    (or plain arrays) `operands`, and `backward(g)`, which returns one
+    gradient term per operand, None where it has none. Each term is added
+    to its operand's gradient, in operand order."""
+    operands = tuple(_as_tensor(t) for t in operands)
+
+    def add_terms(g):
+        for t, term in zip(operands, backward(g), strict=True):
+            if term is not None and t.grad is not None:
+                t.grad += term
+
+    return _attach(Tensor(value), operands, add_terms)
+
+
 def stack_cols(cols) -> Tensor:
     """Stack a list of n (B, ...) tensors along a new axis 1: (B, n, ...)."""
     cols = [_as_tensor(c) for c in cols]
@@ -375,17 +372,6 @@ def stack_cols(cols) -> Tensor:
                 c.grad += g[:, i]
 
     return _attach(out, tuple(cols), backward)
-
-
-def expand(a, n: int) -> Tensor:
-    """Repeat a (B, ...) tensor n times along a new axis 1: (B, n, ...)."""
-    a = _as_tensor(a)
-    out = Tensor(np.repeat(a.value[:, None], n, axis=1))
-
-    def backward(g):
-        a.grad += g.sum(axis=1)
-
-    return _attach(out, (a,), backward)
 
 
 def sum_all(a) -> Tensor:

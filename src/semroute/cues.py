@@ -113,13 +113,17 @@ def regenerate_if_uncertain(cue_set, image_emb, threshold, generator, max_rounds
 
     `generator(round_index)` must return a fresh CueSet deterministically.
     After `max_rounds` failed attempts the lowest-uncertainty candidate
-    seen (input included) is returned.
+    seen (input included) is returned. An input `cue_set` that carries its
+    uncertainty is taken as scored against `image_emb` and is not scored
+    again.
     """
     if threshold <= 0.0:
         raise InvalidInputError("threshold must be positive")
     if max_rounds < 1:
         raise InvalidInputError("max_rounds must be at least 1")
-    best = score_cue_set(cue_set, image_emb, only_variance=only_variance)
+    best = cue_set
+    if best.uncertainty is None:
+        best = score_cue_set(cue_set, image_emb, only_variance=only_variance)
     if best.uncertainty <= threshold:
         return best
     for round_index in range(max_rounds):

@@ -109,10 +109,10 @@ def generate_dataset(config, seed: int):
     Every sample is drawn into preallocated arrays in one pass, and then
     each option column's cue sets are scored with one `score_cues` call.
     Each cue set more uncertain than `unc_threshold` is then regenerated, in
-    sample and option order, by `regenerate_if_uncertain` with
-    `synthesize_cues` on that option's concept and negative concept, drawing
-    on from where the first pass ended. So a regeneration changes only its
-    own cue set and scores. The samples' embeddings and the cue sets'
+    sample and option order, by `regenerate_if_uncertain`, given it with
+    its first-pass scores, with `synthesize_cues` on that option's concept
+    and negative concept, drawing on from where the first pass ended. So a
+    regeneration changes only its own cue set and scores. The samples' embeddings and the cue sets'
     blocks are views of the arrays, and the two splits' batches are row
     slices of one record over the same arrays.
     """
@@ -156,8 +156,9 @@ def generate_dataset(config, seed: int):
         for j in range(n_options))))
     for idx, j in zip(*np.nonzero(unc > config.unc_threshold)):
         pos, neg = cue_centroids[pairs[idx, j]]
+        scored = CueSet(cues[idx, j], *(float(score[idx, j]) for score in (agr, var, unc)))
         cs = regenerate_if_uncertain(
-            CueSet(cues[idx, j]), x[idx], threshold=config.unc_threshold,
+            scored, x[idx], threshold=config.unc_threshold,
             generator=lambda _round: synthesize_cues(pos, neg, noise_scale,
                                                      config.variant_count, rng),
             max_rounds=config.max_regen_rounds, only_variance=config.only_variance)

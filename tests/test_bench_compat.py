@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import small_config
-from semroute import autodiff
+from semroute import autodiff, trainer
 from semroute.cues import load_cue_table, save_cue_table
 from semroute.data import cue_table_from_samples, generate_dataset, load_dataset, save_dataset
 from semroute.model import Model
-from semroute.trainer import evaluate, train
+from semroute.trainer import AdamW, TrainConfig, evaluate, train
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
@@ -31,6 +31,21 @@ def test_tracer_patches_and_restores_every_name():
     assert all(getattr(autodiff, op) is fn for op, fn in originals.items())
     for (owner, attr), fn in zip(named, named_originals):
         assert vars(owner)[attr] is fn, f"{owner.__name__}.{attr} not restored"
+
+
+def test_tracer_sees_the_tape_of_a_default_step():
+    # the benchmark's tape gate: a traced step counts tape nodes and a backward
+    config = TrainConfig(train_size=64, eval_size=16)
+    train_set, _ = generate_dataset(config, config.seed)
+    model = Model.init(config.d, config.n_experts, config.k, config.hidden, config.seed)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        trainer.train_step(model, train_set.batch.take(slice(0, config.batch)), config, 0,
+                           AdamW(model.vector.size, config))
+    assert tracer.counts["autodiff.tape_nodes"] >= 1
+    assert [span[0] for span in tracer.spans].count("autodiff.backward") >= 1
+    metrics = tracer.layer_metrics(cycles=1)
+    assert metrics["autodiff.tape_nodes_per_step"] >= 1
 
 
 def test_checkpoint_saves_to_the_exact_path(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracle_data
-from semroute import data
+from semroute import cues, data
 from semroute.trainer import TrainConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -80,6 +80,23 @@ def test_regeneration_draws_what_the_oracle_draws(name, monkeypatch):
     oracle_data.generate_dataset_oracle(config, config.seed)
     n_options = (config.train_size + config.eval_size) * config.option_count
     assert len(drawn) == len(per_option) - n_options > 0
+
+
+def test_a_regeneration_round_scores_once(monkeypatch):
+    # the uncertain cue set arrives scored by the first pass; only each
+    # round's candidate is scored again
+    config = TrainConfig(**REGENERATING["one_regeneration"])
+    scored = []
+    score_cue_set = cues.score_cue_set
+
+    def counted(*args, **kwargs):
+        scored.append(None)
+        return score_cue_set(*args, **kwargs)
+
+    monkeypatch.setattr(cues, "score_cue_set", counted)
+    drawn = counting(monkeypatch, data)
+    data.generate_dataset(config, config.seed)
+    assert len(drawn) == len(scored) == 1
 
 
 def arrays(samples):
