@@ -248,14 +248,16 @@ def cosine_rows(a, b) -> Tensor:
 
 
 def bce_logistic(scores, labels, temperature: float) -> Tensor:
-    """Elementwise BCE on sigmoid(temperature * score); log args clamped."""
+    """Elementwise BCE on sigmoid(temperature * score), computed on the
+    logits as log(1 + exp(∓logit)), so its gradient is exact everywhere."""
     if temperature <= 0.0:
         raise InvalidInputError("temperature must be positive")
     scores = _as_tensor(scores)
     y = np.asarray(labels, dtype=np.float64)
-    p_raw = sigmoid(temperature * scores.value)
-    p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
-    out = Tensor(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    logits = temperature * scores.value
+    p_raw = sigmoid(logits)
+    with np.errstate(invalid="ignore"):  # a NaN score gives a NaN loss, silently
+        out = Tensor(np.logaddexp(0.0, (1.0 - 2.0 * y) * logits))
 
     def backward(g):
         scores.grad += g * temperature * (p_raw - y)

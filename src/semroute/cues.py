@@ -141,31 +141,35 @@ def regenerate_if_uncertain(cue_set, image_emb, threshold, generator, max_rounds
     return best
 
 
-def draw_cue_block(concept_centroid, distractor_centroid, noise_scale, variant_count,
-                   rng) -> np.ndarray:
-    """The (2+V, d) cues of one option: a positive cue near the concept
-    centroid, a negative cue near a distractor centroid, then V variants,
-    noisy paraphrases of the positive cue."""
+def cue_blocks(normals, centroids, concepts, distractors, noise_scale) -> np.ndarray:
+    """Turn standard normals into cue blocks, in place, and return them.
+
+    `normals` is (..., 2+V, d); `concepts` and `distractors` index the rows
+    of `centroids` with the same leading shape (plain ints for one block).
+    Each block becomes a positive cue near its concept's centroid, a
+    negative cue near its distractor's, then V variants, noisy paraphrases
+    of the positive cue. The one cue formula: a single block and a whole
+    option column get the same arithmetic, so equal normals give equal
+    bits. Each centroid gather is added before the next is made, so a
+    column holds one (N, d) temporary at a time."""
     if noise_scale < 0.0:
         raise InvalidInputError("noise_scale must be non-negative")
-    if variant_count < 2:
+    if normals.shape[-2] < 4:
         raise InsufficientVariantsError("variant_count must be at least 2")
-    centroid = np.asarray(concept_centroid, dtype=np.float64)
-    block = rng.standard_normal((2 + variant_count, centroid.shape[0]))
-    block *= noise_scale
-    block[0] += centroid
-    block[1] += np.asarray(distractor_centroid, dtype=np.float64)
-    block[2:] += block[0]
-    return block
+    normals *= noise_scale
+    normals[..., 0, :] += centroids[concepts]
+    normals[..., 1, :] += centroids[distractors]
+    normals[..., 2:, :] += normals[..., :1, :]
+    return normals
 
 
 def synthesize_cues(concept_centroid, distractor_centroid, noise_scale, variant_count,
                     rng) -> CueSet:
     """Desk-scale stand-in for external cue generation: an unscored CueSet
-    of `draw_cue_block`'s cues."""
-    block = draw_cue_block(concept_centroid, distractor_centroid, noise_scale,
-                           variant_count, rng)
-    return CueSet(block)
+    of one `cue_blocks` block, drawn as (2+V, d) standard normals."""
+    centroids = np.array([concept_centroid, distractor_centroid], dtype=np.float64)
+    normals = rng.standard_normal((2 + variant_count, centroids.shape[1]))
+    return CueSet(cue_blocks(normals, centroids, 0, 1, noise_scale))
 
 
 class CueTable:

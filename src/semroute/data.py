@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import graph
-from .cues import (CueSet, CueTable, draw_cue_block, regenerate_if_uncertain, score_cues,
+from .cues import (CueSet, CueTable, cue_blocks, regenerate_if_uncertain, score_cues,
                    synthesize_cues)
 from .cues import score_cue_set  # noqa: F401  traced by perfbench/tracing.py
 from .errors import DataError, InvalidInputError
@@ -106,15 +106,19 @@ def _random_rotation(rng, d):
 def generate_dataset(config, seed: int):
     """Build (train, held_out) `Split`s of fully cue-scored samples.
 
-    Every sample is drawn into preallocated arrays in one pass, and then
-    each option column's cue sets are scored with one `score_cues` call.
-    Each cue set more uncertain than `unc_threshold` is then regenerated, in
-    sample and option order, by `regenerate_if_uncertain`, given it with
-    its first-pass scores, with `synthesize_cues` on that option's concept
-    and negative concept, drawing on from where the first pass ended. So a
-    regeneration changes only its own cue set and scores. The samples' embeddings and the cue sets'
-    blocks are views of the arrays, and the two splits' batches are row
-    slices of one record over the same arrays.
+    One pass over the samples makes every random draw, in sample and option
+    order, with each normal draw filling its slot of the preallocated
+    arrays as standard normals. Then each option column is turned into
+    embeddings by whole-array affine maps, its cue blocks by
+    `cues.cue_blocks`, and its cue sets are scored with one `score_cues`
+    call. Each cue set more uncertain than `unc_threshold` is then
+    regenerated, in sample and option order, by `regenerate_if_uncertain`,
+    given it with its first-pass scores, with `synthesize_cues` on that
+    option's concept and negative concept, drawing on from where the first
+    pass ended. So a regeneration changes only its own cue set and scores.
+    The samples' embeddings and the cue sets' blocks are views of the
+    arrays, and the two splits' batches are row slices of one record over
+    the same arrays.
     """
     rng = seeded_rng(seed)
     d, n_concepts, n_options = config.d, config.n_concepts, config.option_count
@@ -126,29 +130,36 @@ def generate_dataset(config, seed: int):
     concept_ids = np.resize(np.arange(n_concepts), total)
     rng.shuffle(concept_ids)
 
-    rotated = [config.input_scale * centroids[c] @ rotation for c in range(n_concepts)]
-    cue_centroids = config.cue_scale * centroids
-    noise_scale = config.cue_scale * config.cue_noise
     x = np.empty((total, d))
     text = np.empty((total, n_options, d))
     cues = np.empty((total, n_options, 2 + config.variant_count, d))
     pairs = np.empty((total, n_options, 2), dtype=np.intp)  # (concept, negative concept)
     correct = [0] * total
-    for idx in range(total):
-        c = int(concept_ids[idx])
-        x[idx] = rotated[c] + config.input_noise * rng.standard_normal(d)
+    # the draws alone; Generator fills `out=` with the stream that `size=` draws
+    for idx, c in enumerate(concept_ids.tolist()):
+        rng.standard_normal(out=x[idx])
         distractors = [k for k in range(n_concepts) if k != c]
         rng.shuffle(distractors)
         option_concepts = [c] + distractors[: n_options - 1]
         option_concepts = [option_concepts[i] for i in rng.permutation(n_options).tolist()]
         correct[idx] = option_concepts.index(c)
-        for j, oc in enumerate(option_concepts):
-            text[idx, j] = centroids[oc] + config.option_noise * rng.standard_normal(d)
-            negative = int(rng.integers(n_concepts - 1))  # any concept but oc
-            negative += negative >= oc
-            pairs[idx, j] = oc, negative
-            cues[idx, j] = draw_cue_block(cue_centroids[oc], cue_centroids[negative],
-                                          noise_scale, config.variant_count, rng)
+        pairs[idx, :, 0] = option_concepts
+        for j in range(n_options):
+            rng.standard_normal(out=text[idx, j])
+            pairs[idx, j, 1] = rng.integers(n_concepts - 1)
+            rng.standard_normal(out=cues[idx, j])
+
+    # the affine maps, per option column: one (N, d) temporary at a time
+    pairs[..., 1] += pairs[..., 1] >= pairs[..., 0]  # any concept but the option's
+    x *= config.input_noise
+    x += np.array([config.input_scale * centroids[c] @ rotation
+                   for c in range(n_concepts)])[concept_ids]
+    text *= config.option_noise
+    cue_centroids = config.cue_scale * centroids
+    noise_scale = config.cue_scale * config.cue_noise
+    for j in range(n_options):
+        text[:, j] += centroids[pairs[:, j, 0]]
+        cue_blocks(cues[:, j], cue_centroids, pairs[:, j, 0], pairs[:, j, 1], noise_scale)
 
     # one (N, J) array per score
     agr, var, unc = (np.stack(column, axis=1) for column in zip(*(
@@ -165,14 +176,15 @@ def generate_dataset(config, seed: int):
         cues[idx, j] = cs.block
         agr[idx, j], var[idx, j], unc[idx, j] = cs.agreement, cs.variance, cs.uncertainty
 
-    samples = []
-    for idx, (c, *scores) in enumerate(zip(concept_ids.tolist(), agr.tolist(), var.tolist(),
-                                           unc.tolist())):
-        options = [(t, CueSet(block, *option_scores))
-                   for t, block, *option_scores in zip(text[idx], cues[idx], *scores)]
-        samples.append(Sample(sample_id=f"s{idx:05d}", input_emb=x[idx], options=options,
-                              correct=correct[idx], category=f"c{c}"))
-    record = graph.Batch(np.array([s.sample_id for s in samples]), x, text, np.array(correct),
+    # the objects: one flat pass over every option, then J options a sample
+    sets = map(CueSet, cues.reshape(-1, *cues.shape[2:]),
+               *(score.ravel().tolist() for score in (agr, var, unc)))
+    options = list(zip(text.reshape(-1, d), sets))
+    per_sample = (options[at:at + n_options] for at in range(0, len(options), n_options))
+    ids = [f"s{idx:05d}" for idx in range(total)]
+    samples = list(map(Sample, ids, x, per_sample, correct,
+                       (f"c{c}" for c in concept_ids.tolist())))
+    record = graph.Batch(np.array(ids), x, text, np.array(correct),
                          np.ones(unc.shape, dtype=bool), cues[:, :, 0], cues[:, :, 1], unc)
     return tuple(Split(samples[rows], record.take(rows)) for rows in (
         slice(None, config.train_size), slice(config.train_size, None)))

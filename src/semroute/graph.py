@@ -180,9 +180,12 @@ def loss_forward(scores, reps, batch, config, correct_pair=None, distill_gates=N
         weights = np.ones(scores.shape)
     else:
         weights = np.clip(1.0 / (1.0 + batch.unc), *WEIGHT_CLIP)
-    p_raw = sigmoid(config.temperature * scores)
-    p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
-    bce = -(onehot * np.log(p) + (1.0 - onehot) * np.log(1.0 - p))
+    logits = config.temperature * scores
+    p_raw = sigmoid(logits)
+    # exact, with no clamp; a NaN score (diverged parameters) gives a NaN
+    # loss, which training reports, without the ordered compares' warning
+    with np.errstate(invalid="ignore"):
+        bce = np.logaddexp(0.0, (1.0 - 2.0 * onehot) * logits)
     main = total = (bce * (weights / n)).sum()  # the weights carry the 1/B
     cache = {"n": n, "correct": batch.correct, "onehot": onehot, "weights": weights,
              "p_raw": p_raw, "temperature": config.temperature, "lambda_c": config.lambda_c}

@@ -16,7 +16,7 @@ from .errors import (
     ShapeError,
 )
 
-PROB_EPS = 1e-12  # clamp for all log arguments
+PROB_EPS = 1e-12  # floor of the distillation target under its log
 
 
 def as_vector(x) -> np.ndarray:
@@ -97,15 +97,16 @@ def sigmoid(x):
 
 
 def binary_cross_entropy(score: float, label: int, temperature: float) -> float:
-    """BCE on a logistic link of the score, sharpened by `temperature`."""
+    """BCE on a logistic link of the score, sharpened by `temperature`,
+    computed on the logit as log(1 + exp(∓logit)): no clamp, so no flat
+    spot at large |logit|."""
     if temperature <= 0.0:
         raise InvalidInputError("temperature must be positive")
     if not np.isfinite(score):
         raise InvalidInputError("score must be finite")
     if label not in (0, 1):
         raise InvalidInputError(f"label must be 0 or 1, got {label!r}")
-    p = float(np.clip(sigmoid(temperature * score), PROB_EPS, 1.0 - PROB_EPS))
-    return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
+    return float(np.logaddexp(0.0, (1.0 - 2.0 * label) * (temperature * score)))
 
 
 def finite_difference_gradient(loss_fn, params, step: float = 1e-5):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from semroute import autodiff as ad
 from semroute.errors import InvalidInputError, ShapeError
 from semroute.gradcheck import REL_TOL, relative_error
-from semroute.numerics import finite_difference_gradient, softmax
+from semroute.numerics import binary_cross_entropy, finite_difference_gradient, softmax
 
 
 def check_op(build, shapes, seed=0, atol=1e-7):
@@ -238,6 +238,17 @@ class TestOpValues:
         w2, b2 = np.ones((3, 5, 4)), np.ones((3, 4))
         with pytest.raises(error):
             ad.experts(*map(ad.constant, (x, w1, b1, w2, b2)), topk)
+
+    def test_bce_logistic_is_the_scalar_bce_bit_for_bit(self, rng):
+        # the tape op, the fused loss node and the per-sample reference
+        # share one formula; a large temperature puts logits past the old clamp
+        scores = rng.standard_normal(40)
+        labels = (rng.random(40) < 0.5).astype(float)
+        for temperature in (0.5, 5.0, 40.0, 200.0):
+            got = ad.bce_logistic(scores, labels, temperature).value
+            want = [binary_cross_entropy(s, int(y), temperature)
+                    for s, y in zip(scores.tolist(), labels.tolist())]
+            assert got.tolist() == want
 
     def test_kl_rows_underflowed_q_is_infinite_loss(self):
         # a student gate that underflowed to zero where the target is not is

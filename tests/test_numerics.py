@@ -113,6 +113,13 @@ class TestBCE:
         assert binary_cross_entropy(0.4, 0, 5.0) == pytest.approx(
             binary_cross_entropy(-0.4, 1, 5.0), rel=1e-12)
 
+    def test_no_clamp_at_large_logits(self):
+        # log(1 + exp(100)) is 100 to double precision; a clamped sigmoid
+        # stopped at -log(1e-12), about 27.6
+        assert binary_cross_entropy(1.0, 0, 100.0) == 100.0
+        assert binary_cross_entropy(-1.0, 1, 100.0) == 100.0
+        assert binary_cross_entropy(1.0, 1, 800.0) == 0.0
+
     def test_invalid_args(self):
         with pytest.raises(InvalidInputError):
             binary_cross_entropy(0.5, 2, 5.0)
