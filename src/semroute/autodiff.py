@@ -1,8 +1,10 @@
 """Minimal reverse-mode tape over float64 numpy arrays.
 
-Only the operations the routing/loss graph actually needs are provided.
-Gradients are checked against `numerics.finite_difference_gradient` in the
-test suite; the tape is confined to one training step on one thread.
+`graph` puts its whole forward on the tape as one `fused` node over the
+`parameter` blocks. The other ops compose the op-by-op reference loss in
+the tests and acceptance criterion 4's per-option BCE. Gradients are
+checked against `numerics.finite_difference_gradient` in the test suite;
+the tape is confined to one training step on one thread.
 
 Only parameters and op results that depend on one carry a `grad` and are
 on the tape; operands given as plain arrays (or `constant`s) never become
@@ -283,69 +285,6 @@ def kl_rows(p, q) -> Tensor:
             q.grad += g[..., None] * np.where(p > 0.0, -p / q.value, 0.0)
 
     return _attach(out, (q,), backward)
-
-
-def experts(x, w1, b1, w2, b2, topk=None) -> Tensor:
-    """E two-layer tanh perceptrons tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e],
-    for w1 (E, d, h), b1 (E, h), w2 (E, h, d) and b2 (E, d), as one node
-    over the (B, d) rows x, each expert run only on the rows routed to it.
-    `topk` (B, K) holds K distinct experts for each row; output [b, k] is
-    expert topk[b, k] on row b, (B, K, d). Without `topk` every row goes to
-    every expert: (B, E, d).
-
-    The (row, slot) pairs are dispatched into one (E, C, d) buffer, padded
-    with zero rows, where C is the most rows any one expert gets, so the
-    matmuls and the tanh run on C rows per expert instead of B."""
-    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    n, d, h = w1.value.shape if w1.value.ndim == 3 else (-1, -1, -1)
-    if (x.value.ndim != 2 or x.value.shape[1] != d
-            or [t.value.shape for t in (b1, w2, b2)] != [(n, h), (n, h, d), (n, d)]):
-        raise ShapeError("experts expects x (B, d), w1 (E, d, h), b1 (E, h), "
-                         "w2 (E, h, d) and b2 (E, d)")
-    rows = np.arange(x.value.shape[0])[:, None]
-    if topk is None:
-        topk = np.broadcast_to(np.arange(n), (rows.size, n))
-    topk = np.asarray(topk)
-    if (topk.ndim != 2 or topk.shape[0] != rows.size or topk.shape[1] == 0
-            or topk.dtype.kind not in "iu"):
-        raise ShapeError("topk must be a (B, K) integer array, K >= 1")
-    if topk.size and not (topk.min() >= 0 and topk.max() < n):
-        raise InvalidInputError(f"topk holds an expert id outside [0, {n})")
-    routed = np.zeros((rows.size, n), dtype=bool)
-    routed[rows, topk] = True
-    if np.count_nonzero(routed) != topk.size:
-        raise InvalidInputError("a row of topk holds an expert twice")
-    slot = np.cumsum(routed, axis=0)                        # rows routed to e up to b
-    capacity = int(slot[-1].max()) if rows.size else 0
-    flat = topk * capacity + slot[rows, topk] - 1           # (B, K) rows of the buffer
-    xb = np.zeros((n * capacity, d))
-    xb[flat] = x.value[:, None, :]
-    xb = xb.reshape(n, capacity, d)
-    hidden = xb @ w1.value
-    hidden += b1.value[:, None, :]
-    np.tanh(hidden, out=hidden)                             # (E, C, h)
-    y = hidden @ w2.value
-    y += b2.value[:, None, :]                               # (E, C, d)
-    out = Tensor(np.take(y.reshape(-1, d), flat, axis=0))
-
-    def backward(g):
-        gb = np.zeros((n * capacity, d))
-        gb[flat] = g
-        gb = gb.reshape(n, capacity, d)
-        if b2.grad is not None:
-            b2.grad += gb.sum(axis=1)
-        if w2.grad is not None:
-            w2.grad += np.swapaxes(hidden, 1, 2) @ gb
-        g_pre = (gb @ np.swapaxes(w2.value, 1, 2)) * (1.0 - hidden * hidden)  # (E, C, h)
-        if b1.grad is not None:
-            b1.grad += g_pre.sum(axis=1)
-        if w1.grad is not None:
-            w1.grad += np.swapaxes(xb, 1, 2) @ g_pre
-        if x.grad is not None:
-            g_x = g_pre @ np.swapaxes(w1.value, 1, 2)
-            x.grad += np.take(g_x.reshape(-1, d), flat, axis=0).sum(axis=1)
-
-    return _attach(out, (x, w1, b1, w2, b2), backward)
 
 
 def fused(value, operands, backward) -> Tensor:

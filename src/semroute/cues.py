@@ -141,6 +141,13 @@ def regenerate_if_uncertain(cue_set, image_emb, threshold, generator, max_rounds
     return best
 
 
+def _check_cue_arguments(noise_scale, variant_count):
+    if noise_scale < 0.0:
+        raise InvalidInputError("noise_scale must be non-negative")
+    if variant_count < 2:
+        raise InsufficientVariantsError("variant_count must be at least 2")
+
+
 def cue_blocks(normals, centroids, concepts, distractors, noise_scale) -> np.ndarray:
     """Turn standard normals into cue blocks, in place, and return them.
 
@@ -152,10 +159,7 @@ def cue_blocks(normals, centroids, concepts, distractors, noise_scale) -> np.nda
     option column get the same arithmetic, so equal normals give equal
     bits. Each centroid gather is added before the next is made, so a
     column holds one (N, d) temporary at a time."""
-    if noise_scale < 0.0:
-        raise InvalidInputError("noise_scale must be non-negative")
-    if normals.shape[-2] < 4:
-        raise InsufficientVariantsError("variant_count must be at least 2")
+    _check_cue_arguments(noise_scale, normals.shape[-2] - 2)
     normals *= noise_scale
     normals[..., 0, :] += centroids[concepts]
     normals[..., 1, :] += centroids[distractors]
@@ -166,7 +170,9 @@ def cue_blocks(normals, centroids, concepts, distractors, noise_scale) -> np.nda
 def synthesize_cues(concept_centroid, distractor_centroid, noise_scale, variant_count,
                     rng) -> CueSet:
     """Desk-scale stand-in for external cue generation: an unscored CueSet
-    of one `cue_blocks` block, drawn as (2+V, d) standard normals."""
+    of one `cue_blocks` block, drawn as (2+V, d) standard normals. Bad
+    arguments raise before the draw, so they leave `rng` where it was."""
+    _check_cue_arguments(noise_scale, variant_count)
     centroids = np.array([concept_centroid, distractor_centroid], dtype=np.float64)
     normals = rng.standard_normal((2 + variant_count, centroids.shape[1]))
     return CueSet(cue_blocks(normals, centroids, 0, 1, noise_scale))

@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import graph
-from .data import Split, generate_dataset
+from .data import generate_dataset
 from .model import Model
 from .numerics import finite_difference_gradient
-from .trainer import TrainConfig
+from .trainer import TrainConfig, _records
 
 REL_TOL = 1e-4
 REL_FLOOR = 1e-8
@@ -27,13 +27,13 @@ def gradient_check(config: TrainConfig, batch=None, step: float = 1e-5):
     """Compare tape gradients of the total loss against central differences.
 
     Returns {parameter block name: max relative error}. Uses a freshly
-    generated batch from the config's synthetic task unless a list of
-    samples is supplied.
+    generated batch from the config's synthetic task unless a `Split` or a
+    list of samples is supplied.
     """
     if batch is None:
         train_set, _ = generate_dataset(config, config.seed)
         batch = train_set[:4]
-    batch = Split.of(batch).batch
+    batch = _records(batch, config.d)
     model = Model.init(config.d, config.n_experts, config.k, config.hidden, config.seed)
 
     tensors = graph.parameter_tensors(model)

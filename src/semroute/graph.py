@@ -1,14 +1,15 @@
 """Batched differentiable forward pass and loss for one training step.
 
-Builds the routing/scoring/loss graph of a `Batch`, the columnar record of
-a split of samples, on the autodiff tape. The routing is one tape node per
-op; the E experts are one fused node over the stacked expert blocks, each
-run only on the rows routed to it. The option stage and the loss are plain
-numpy functions with a hand-written backward, put on the tape as one node.
-The same forward, run over plain parameter arrays, evaluates whole splits
-in either routing mode. Values agree with the per-sample reference in
-`scoring`; gradients are validated against the finite-difference oracle in
-`numerics`, and bit for bit against a tape of one node per op in the tests.
+The forward of a `Batch`, the columnar record of a split of samples, is
+plain numpy: the routing (`_route`), the E experts, each run only on the
+rows routed to it (`_experts`), the option stage (`option_forward`) and
+the loss (`loss_forward`), each with a hand-written backward. `_forward`
+puts the whole of it on the autodiff tape as one node over the six
+parameter blocks; over plain parameter arrays the same forward evaluates
+whole splits in either routing mode. Values agree with the per-sample
+reference in `scoring`; gradients are validated against the
+finite-difference oracle in `numerics`, and bit for bit against a tape of
+one node per op in the tests.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .model import split_blocks
 from .numerics import PROB_EPS, sigmoid
 
 WEIGHT_CLIP = (0.1, 1.0)  # per-option weight range after clipping
+BLOCKS = ("gating", "semantic", "experts_w1", "experts_b1", "experts_w2", "experts_b2")
 
 
 @dataclass
@@ -73,6 +75,46 @@ def _topk_mask(gate_values: np.ndarray, k: int) -> np.ndarray:
     rows = np.arange(gate_values.shape[0])[:, None]
     mask[rows, order[:, :k]] = True
     return mask
+
+
+def _experts(x, w1, b1, w2, b2, topk):
+    """E two-layer tanh perceptrons tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e],
+    for w1 (E, d, h), b1 (E, h), w2 (E, h, d) and b2 (E, d), over the
+    (B, d) rows x, each expert run only on the rows routed to it. `topk`
+    (B, K) holds K distinct experts for each row; output [b, k] is expert
+    topk[b, k] on row b, (B, K, d). Returns it and the cache that
+    `_experts_backward` reads.
+
+    The (row, slot) pairs are dispatched into one (E, C, d) buffer, padded
+    with zero rows, where C is the most rows any one expert gets, so the
+    matmuls and the tanh run on C rows per expert instead of B."""
+    n, d, _ = w1.shape
+    rows = np.arange(x.shape[0])[:, None]
+    routed = np.zeros((rows.size, n), dtype=bool)
+    routed[rows, topk] = True
+    slot = np.cumsum(routed, axis=0)                        # rows routed to e up to b
+    capacity = int(slot[-1].max())
+    flat = topk * capacity + slot[rows, topk] - 1           # (B, K) rows of the buffer
+    xb = np.zeros((n * capacity, d))
+    xb[flat] = x[:, None, :]
+    xb = xb.reshape(n, capacity, d)
+    hidden = xb @ w1
+    hidden += b1[:, None, :]
+    np.tanh(hidden, out=hidden)                             # (E, C, h)
+    y = hidden @ w2
+    y += b2[:, None, :]                                     # (E, C, d)
+    return np.take(y.reshape(-1, d), flat, axis=0), (xb, hidden, w2, flat)
+
+
+def _experts_backward(cache, g):
+    """The gradients into `_experts`' w1, b1, w2 and b2, given its output's, `g`."""
+    xb, hidden, w2, flat = cache
+    gb = np.zeros((xb.shape[0] * xb.shape[1], xb.shape[2]))
+    gb[flat] = g
+    gb = gb.reshape(xb.shape)
+    g_pre = (gb @ np.swapaxes(w2, 1, 2)) * (1.0 - hidden * hidden)  # (E, C, h)
+    return (np.swapaxes(xb, 1, 2) @ g_pre, g_pre.sum(axis=1),
+            np.swapaxes(hidden, 1, 2) @ gb, gb.sum(axis=1))
 
 
 def _cue_pairs(batch, correct_only=False):
@@ -246,36 +288,37 @@ def loss_backward(cache, g):
     return g_student, g_scores, g_reps
 
 
-def _route(tensors, batch, config, frozen, mode):
-    """The routing half of the forward, on the tape: the routing logits and
-    gates, the Top-K choice and the selected experts' outputs. Teacher mode
-    routes on the base logits plus the correct answer's cue direction and
-    takes each option's direction from its cue difference; student mode
-    routes on the base logits and takes it from the option's text, and
-    never reads a cue. Returns `routing` (see `forward_options`), the
-    routing logits, the option directions (None when `no_sj` drops them)
-    and the correct options' (pos, neg) cues if they were read."""
+def _route(blocks, batch, config, frozen, mode):
+    """The routing half of the forward over the plain parameter arrays
+    `blocks`: the routing logits and gates, the Top-K choice and the
+    selected experts' outputs. Teacher mode routes on the base logits plus
+    lambda_a times the correct answer's cue direction through `semantic`,
+    and takes each option's direction from its cue difference; student
+    mode routes on the base logits and takes it from the option's text,
+    and never reads a cue. Returns `routing` (see `forward_options`), the
+    routing logits, the option directions (None when `no_sj` drops them),
+    the correct options' (pos, neg) cues if they were read, and the cache
+    that `_route_backward` reads."""
     if mode not in ("teacher", "student"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     teacher = mode == "teacher"
-    use_sa = teacher and not (config.no_sa or config.prompt_only)
     x = batch.x
 
-    z_base = z_route = ad.matmul(x, tensors["gating"])
-    correct_pair = None
-    if use_sa:
+    z_base = z_route = x @ blocks["gating"]
+    correct_pair = diff = None
+    if teacher and not (config.no_sa or config.prompt_only):
         correct_pair = _cue_pairs(batch, correct_only=True)
-        s_a = ad.matmul(np.subtract(*correct_pair), tensors["semantic"])
-        z_route = ad.add(z_base, ad.scale(s_a, config.lambda_a))
-    g_route = ad.softmax_rows(z_route)
-    g_student = ad.softmax_rows(z_base) if use_sa else g_route
+        diff = np.subtract(*correct_pair)
+        z_route = z_base + (diff @ blocks["semantic"]) * config.lambda_a
+    g_route = _softmax(z_route)
+    g_student = g_route if diff is None else _softmax(z_base)
 
     mask = frozen.get("topk_mask")
     if mask is None:
-        mask = _topk_mask(g_route.value, config.k)
+        mask = _topk_mask(g_route, config.k)
     topk = np.nonzero(mask)[1].reshape(mask.shape[0], -1)  # (B, K), ascending per row
-    experts = ad.experts(x, tensors["experts_w1"], tensors["experts_b1"],
-                         tensors["experts_w2"], tensors["experts_b2"], topk)  # (B, K, d)
+    experts, experts_cache = _experts(x, blocks["experts_w1"], blocks["experts_b1"],
+                                      blocks["experts_w2"], blocks["experts_b2"], topk)
 
     direction = None
     if not config.no_sj:
@@ -283,84 +326,86 @@ def _route(tensors, batch, config, frozen, mode):
         direction = np.subtract(*_cue_pairs(batch)) if cue_directions else batch.text
     routing = {"topk": topk, "topk_mask": mask, "teacher_gate": g_route,
                "student_gate": g_student, "experts": experts}
-    return routing, z_route, direction, correct_pair
+    cache = (x, diff, config.lambda_a, g_student, experts_cache)
+    return routing, z_route, direction, correct_pair, cache
 
 
-def _option_stage(tensors, batch, config, routing, z_route, direction):
-    semantic = tensors["semantic"]
-    return option_forward(z_route.value, getattr(semantic, "value", semantic),
-                          routing["experts"].value, direction, batch.text, routing["topk"],
-                          config.lambda_o)
+def _route_backward(cache, g_z, g_student, g_semantic, g_experts):
+    """The gradients into the six parameter blocks, in `BLOCKS` order, given
+    those of `_route`'s routing logits `g_z`, its student gate (None
+    without distillation) and its experts' outputs, and the option stage's
+    `semantic` term (None without option directions)."""
+    x, diff, lambda_a, student, experts_cache = cache
+    g_base = g_z if g_student is None else g_z + _softmax_grad(g_student, student)
+    if diff is not None:
+        g_sa = diff.T @ (g_z * lambda_a)
+        g_semantic = g_sa if g_semantic is None else g_semantic + g_sa
+    return (x.T @ g_base, g_semantic, *_experts_backward(experts_cache, g_experts))
+
+
+def _forward(tensors, batch, config, frozen, mode, with_loss):
+    """The whole forward as one tape node over the six parameter blocks
+    `tensors`: its value is the (B, J) scores, or with `with_loss` the
+    total loss. Its backward chains `loss_backward`, `option_backward`,
+    `_route_backward` and `_experts_backward`. Returns the node, the
+    scores and representations arrays, `routing` and the LossBreakdown
+    (None without the loss)."""
+    blocks = {name: getattr(t, "value", t) for name, t in tensors.items()}
+    routing, z_route, direction, correct_pair, route_cache = _route(blocks, batch, config,
+                                                                    frozen, mode)
+    scores, reps, option_cache = option_forward(z_route, blocks["semantic"], routing["experts"],
+                                                direction, batch.text, routing["topk"],
+                                                config.lambda_o)
+    value, breakdown, loss_cache = scores, None, None
+    if with_loss:
+        use_contrast = not (config.no_contrast or config.prompt_only)
+        use_distill = not (config.no_distill or config.prompt_only)
+        if use_contrast and correct_pair is None:
+            correct_pair = _cue_pairs(batch, correct_only=True)
+        target = routing["distill_target"] = frozen.get("distill_target", routing["teacher_gate"])
+        breakdown, loss_cache = loss_forward(
+            scores, reps, batch, config, correct_pair if use_contrast else None,
+            (target, routing["student_gate"]) if use_distill else None)
+        value = breakdown.total
+
+    def backward(g):
+        g_student, g_scores, g_reps = ((None, g, None) if loss_cache is None
+                                       else loss_backward(loss_cache, g))
+        g_z, g_semantic, g_experts = option_backward(option_cache, g_scores, g_reps)
+        return _route_backward(route_cache, g_z, g_student, g_semantic, g_experts)
+
+    node = ad.fused(value, tuple(tensors[name] for name in BLOCKS), backward)
+    return node, scores, reps, routing, breakdown
 
 
 def forward_options(tensors, batch, config, frozen=None, mode="teacher"):
     """Routing, option gates, representations and scores for a `Batch` of
     B samples with J options, over the six parameter blocks `tensors`
     (tape parameters or plain arrays). Returns the (B, J) scores tensor,
-    the (B, J, d) option representations array and `routing`.
-
-    The routing (`_route`) is on the tape, one node per op, with each
-    expert run only on the rows whose Top-K set holds it
-    (`autodiff.experts`). The option stage (`option_forward`) is one node
-    whose value is the scores. The ablation flags of `config` act in
-    `_route`, `batch_loss` and `loss_forward` only. Over plain arrays
-    nothing is put on the tape.
+    one tape node over the six blocks, the (B, J, d) option
+    representations array and `routing`. The ablation flags of `config`
+    act in `_route`, `_forward` and `loss_forward` only. Over plain
+    arrays nothing is put on the tape.
 
     `routing` holds the (B, K) Top-K expert ids, ascending per row, the
-    same choice as a (B, E) mask, the teacher and student gates (the same
-    tensor when routing is unguided) and the (B, K, d) outputs of the
-    selected experts. `frozen` optionally pins {"topk_mask", "distill_target"}
-    so a finite-difference probe differentiates the same function the
-    analytic backward pass sees (Top-K selection is discrete; the
-    distillation target is a constant within a step by definition).
+    same choice as a (B, E) mask, the (B, E) teacher and student gates
+    (the same array when routing is unguided) and the (B, K, d) outputs of
+    the selected experts. `frozen` optionally pins {"topk_mask",
+    "distill_target"} so a finite-difference probe differentiates the same
+    function the analytic backward pass sees (Top-K selection is discrete;
+    the distillation target is a constant within a step by definition).
     """
-    routing, z_route, direction, _ = _route(tensors, batch, config, frozen or {}, mode)
-    scores, reps, cache = _option_stage(tensors, batch, config, routing, z_route, direction)
-    scores = ad.fused(scores, (z_route, tensors["semantic"], routing["experts"]),
-                      lambda g: option_backward(cache, g))
-    routing["experts"] = routing["experts"].value
+    scores, _, reps, routing, _ = _forward(tensors, batch, config, frozen or {}, mode, False)
     return scores, reps, routing
 
 
 def batch_loss(tensors, batch, config, frozen=None):
     """Total loss Tensor plus a LossBreakdown and auxiliary arrays for a
-    `Batch`.
-
-    The routing is on the tape as in `forward_options`; the option stage
-    and the three loss terms are one node over the routing logits, the
-    semantic block, the experts' outputs and, with distillation, the
-    student gate. Its backward runs the loss's gradient rules from
-    distillation to the main term, and then the option stage's. A loss
-    term that an ablation switches off is not computed."""
-    frozen = frozen or {}
-    use_contrast = not (config.no_contrast or config.prompt_only)
-    use_distill = not (config.no_distill or config.prompt_only)
-
-    routing, z_route, direction, correct_pair = _route(tensors, batch, config, frozen,
-                                                        "teacher")
-    g_teacher, g_student = routing["teacher_gate"], routing["student_gate"]
-    scores, reps, option_cache = _option_stage(tensors, batch, config, routing, z_route,
-                                               direction)
-    if use_contrast and correct_pair is None:
-        correct_pair = _cue_pairs(batch, correct_only=True)
-    target = frozen.get("distill_target", g_teacher.value)
-    breakdown, loss_cache = loss_forward(
-        scores, reps, batch, config, correct_pair if use_contrast else None,
-        (target, g_student.value) if use_distill else None)
-
-    def backward(g):
-        g_gate, g_scores, g_reps = loss_backward(loss_cache, g)
-        terms = option_backward(option_cache, g_scores, g_reps)
-        return terms + ((g_gate,) if use_distill else ())
-
-    operands = (z_route, tensors["semantic"], routing["experts"])
-    total = ad.fused(breakdown.total, operands + ((g_student,) if use_distill else ()),
-                     backward)
-    aux = {
-        "scores": scores,
-        "topk_mask": routing["topk_mask"],
-        "teacher_gate": g_teacher.value,
-        "student_gate": g_student.value,
-        "distill_target": target,
-    }
+    `Batch`: the teacher-mode forward of `forward_options` and the three
+    loss terms as one tape node over the six parameter blocks. A loss term
+    that an ablation switches off is not computed."""
+    total, scores, _, routing, breakdown = _forward(tensors, batch, config, frozen or {},
+                                                    "teacher", True)
+    aux = {"scores": scores, **{key: routing[key] for key in (
+        "topk_mask", "teacher_gate", "student_gate", "distill_target")}}
     return total, breakdown, aux

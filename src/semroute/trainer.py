@@ -255,7 +255,7 @@ def evaluate(model: Model, dataset, mode: str, config: TrainConfig):
                                 f"{(config.d, config.n_experts, config.k, config.hidden)}")
     batch = _records(dataset, model.d)
     scores, _, routing = graph.forward_options(model.blocks, batch, config, mode=mode)
-    gate = routing[f"{mode}_gate"].value
+    gate = routing[f"{mode}_gate"]
 
     rows = np.arange(batch.correct.size)
     cued = batch.has_cue[rows, batch.correct]

@@ -2,6 +2,7 @@
 patches functions and tape ops where they are looked up, and its oracle
 re-implements `evaluate` from the parameter names. A change that breaks
 either would otherwise show only when the benchmark runs."""
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from semroute.data import cue_table_from_samples, generate_dataset, load_dataset
 from semroute.model import Model
 from semroute.trainer import AdamW, TrainConfig, evaluate, train
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import checks  # noqa: E402
 import tracing  # noqa: E402
 
@@ -46,6 +48,15 @@ def test_tracer_sees_the_tape_of_a_default_step():
     assert [span[0] for span in tracer.spans].count("autodiff.backward") >= 1
     metrics = tracer.layer_metrics(cycles=1)
     assert metrics["autodiff.tape_nodes_per_step"] >= 1
+
+
+def test_traced_metrics_are_the_declared_per_layer_names():
+    # a traced run reports the tracer's metrics plus its overhead, and
+    # fails unless their names are exactly BENCHMARK.json's per_layer names
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = tracing.Tracer().layer_metrics(cycles=1)
+    metrics.update(tracing.overhead([1.0], [1.1]))
+    assert sorted(metrics) == sorted(m["name"] for m in spec["per_layer"])
 
 
 def test_checkpoint_saves_to_the_exact_path(tmp_path):

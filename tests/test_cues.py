@@ -294,6 +294,17 @@ class TestSynthesize:
         with pytest.raises(InsufficientVariantsError):
             synthesize_cues(np.ones(3), np.ones(3), 0.1, 1, seeded_rng(0))
 
+    @pytest.mark.parametrize("noise_scale, variant_count, error", [
+        (0.1, -3, InsufficientVariantsError),
+        (0.1, 1, InsufficientVariantsError),
+        (-1.0, 3, InvalidInputError)])
+    def test_bad_arguments_raise_before_the_draw(self, noise_scale, variant_count, error):
+        rng = seeded_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(error):
+            synthesize_cues(np.ones(3), -np.ones(3), noise_scale, variant_count, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestCueTable:
     def entry(self, rng):

@@ -71,8 +71,9 @@ def counting(monkeypatch, owner):
 
 @pytest.mark.parametrize("name", list(REGENERATING))
 def test_regeneration_draws_what_the_oracle_draws(name, monkeypatch):
-    # the first pass draws every option's cue set with draw_cue_block, so
-    # each synthesize_cues call is one of the oracle's regeneration draws
+    # the first pass draws every option's cue block into the preallocated
+    # array, so each synthesize_cues call is one of the oracle's
+    # regeneration draws
     config = TrainConfig(**REGENERATING[name])
     drawn = counting(monkeypatch, data)
     data.generate_dataset(config, config.seed)

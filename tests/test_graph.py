@@ -10,8 +10,9 @@ from semroute import graph
 from semroute.cues import CueSet
 from semroute.data import Sample, Split, generate_dataset
 from semroute.errors import DataError, MissingCueError
-from semroute.gradcheck import REL_TOL, gradient_check
+from semroute.gradcheck import REL_TOL, gradient_check, relative_error
 from semroute.model import Model, block_shapes
+from semroute.numerics import finite_difference_gradient
 from semroute.scoring import (
     contrastive_loss,
     distill_loss,
@@ -19,7 +20,7 @@ from semroute.scoring import (
     score_all_options,
     wrong_representation,
 )
-from semroute.trainer import evaluate
+from semroute.trainer import ABLATION_FLAGS, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +335,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("n_experts", [2, 4, 8])
     def test_tape_size_independent_of_expert_count(self, setup, n_experts):
-        # the experts are one fused node, so the tape does not grow with E
+        # the whole forward is one fused node, so the tape does not grow with E
         config, _, batch = setup
         config = replace(config, n_experts=n_experts)
         model = Model.init(config.d, n_experts, config.k, config.hidden, 0)
@@ -342,16 +343,61 @@ class TestGradients:
         nodes = tape_nodes(total)
         # batch arrays are plain operands: every node can carry a gradient
         assert all(parent.grad is not None for node in nodes for parent in node._parents)
-        assert len(nodes) == 13
+        assert len(nodes) == 7  # the six parameter blocks and the loss
 
-    def test_ablated_loss_terms_are_not_built(self, setup):
+    @pytest.mark.parametrize("flag", ABLATION_FLAGS)
+    def test_tape_size_under_every_ablation(self, setup, flag):
         config, model, batch = setup
-        (default, _, _), _ = run_batch(config, model, batch)
+        (total, _, _), _ = run_batch(replace(config, **{flag: True}), model, batch)
+        assert len(tape_nodes(total)) == 7
+
+    def test_ablated_loss_terms_are_not_built(self, setup, monkeypatch):
+        # one cosine for the option scores and two for the contrastive
+        # term; no distillation gates reach the loss
+        config, model, batch = setup
+        cosines, distill_gates = [], []
+        cosine, loss_forward = graph._cosine, graph.loss_forward
+
+        def counted_cosine(*args):
+            cosines.append(None)
+            return cosine(*args)
+
+        def spied_loss_forward(*args):
+            distill_gates.append(args[-1])
+            return loss_forward(*args)
+
+        monkeypatch.setattr(graph, "_cosine", counted_cosine)
+        monkeypatch.setattr(graph, "loss_forward", spied_loss_forward)
+        run_batch(config, model, batch)
+        assert len(cosines) == 3 and distill_gates[0] is not None
+        cosines.clear()
         ablated = replace(config, no_contrast=True, no_distill=True)
-        (total, breakdown, _), _ = run_batch(ablated, model, batch)
-        assert len(tape_nodes(total)) < len(tape_nodes(default))
+        (_, breakdown, _), _ = run_batch(ablated, model, batch)
+        assert len(cosines) == 1 and distill_gates[1] is None
         assert breakdown.contrast == breakdown.distill == 0.0
         assert breakdown.total == breakdown.main
+
+    @pytest.mark.parametrize("n_experts, hidden", [(3, 4), (1, 4), (3, 1), (1, 1)])
+    def test_experts_backward_matches_finite_differences(self, n_experts, hidden):
+        rng = np.random.default_rng(n_experts * 10 + hidden)
+        b, d, k = 5, 4, min(2, n_experts)
+        topk = np.sort([rng.permutation(n_experts)[:k] for _ in range(b)], axis=1)
+        x = rng.standard_normal((b, d))
+        blocks = {"w1": rng.standard_normal((n_experts, d, hidden)),
+                  "b1": rng.standard_normal((n_experts, hidden)),
+                  "w2": rng.standard_normal((n_experts, hidden, d)),
+                  "b2": rng.standard_normal((n_experts, d))}
+        coeff = rng.standard_normal((b, k, d))
+
+        def loss(p):
+            out, _ = graph._experts(x, p["w1"], p["b1"], p["w2"], p["b2"], topk)
+            return float(np.sum(coeff * out))
+
+        _, cache = graph._experts(x, *blocks.values(), topk)
+        analytic = graph._experts_backward(cache, coeff)
+        numeric = finite_difference_gradient(loss, blocks)
+        for (name, want), got in zip(numeric.items(), analytic, strict=True):
+            assert relative_error(got, want) <= REL_TOL, name
 
     def test_gradient_check_probes_the_blocks(self, setup):
         config, _, _ = setup

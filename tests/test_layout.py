@@ -25,6 +25,7 @@ TRACED_BY_THE_BENCHMARK = {"expert_forward", "score_all_options"}
 
 TAPE_OPS = "an op in perfbench/tracing.py's TAPE_OPS"
 ORACLE = "and in tests/oracle_graph.py's op-by-op loss"
+ROUTING = f"{TAPE_OPS} and in tests/oracle_graph.py's routing"
 REFERENCE_LOSS = "the per-sample reference loss: tests/test_losses.py and tests/test_graph.py"
 UNCALLED = {
     "autodiff.bce_logistic": f"{TAPE_OPS} {ORACLE}",
@@ -36,6 +37,12 @@ UNCALLED = {
     "autodiff.mul": f"{TAPE_OPS} {ORACLE}",
     "autodiff.sub": f"{TAPE_OPS} {ORACLE}",
     "autodiff.sum_all": f"{TAPE_OPS} {ORACLE}",
+    "autodiff.add": ROUTING,
+    "autodiff.scale": ROUTING,
+    "autodiff.matmul": ROUTING,
+    "autodiff.softmax_rows": ROUTING,
+    "autodiff._softmax": f"{ROUTING}, through softmax_rows and masked_softmax_rows",
+    "autodiff._unbroadcast": f"{ROUTING}, through add, sub and mul",
     "autodiff.stack_cols": TAPE_OPS,
     "autodiff.tanh": TAPE_OPS,
     "autodiff.constant": "tests/test_autodiff.py's tape tests",
